@@ -255,23 +255,23 @@ int main(int argc, char** argv) {
                 policy_table.render().c_str());
     const llm::PromptCacheStats final_stats = cache->stats();
     std::printf("prompt cache: %zu entries, %llu hits / %llu misses "
-                "(%.1f%% overall), %llu shard flushes\n",
+                "(%.1f%% overall), %llu evictions\n",
                 final_stats.entries,
                 static_cast<unsigned long long>(final_stats.hits),
                 static_cast<unsigned long long>(final_stats.misses),
                 100.0 * final_stats.hit_rate(),
-                static_cast<unsigned long long>(final_stats.flushes));
+                static_cast<unsigned long long>(final_stats.evictions));
     const verify::VerifyCacheStats verify_total =
         cached_context.oracle->stats();
     std::printf("verify cache: %zu compiled programs, %zu memoized reports, "
                 "%llu report hits / %llu misses (%.1f%% overall), "
-                "%llu program / %llu report shard flushes\n",
+                "%llu program / %llu report evictions\n",
                 verify_total.programs, verify_total.reports,
                 static_cast<unsigned long long>(verify_total.report_hits),
                 static_cast<unsigned long long>(verify_total.report_misses),
                 100.0 * verify_total.report_hit_rate(),
-                static_cast<unsigned long long>(verify_total.program_flushes),
-                static_cast<unsigned long long>(verify_total.report_flushes));
+                static_cast<unsigned long long>(verify_total.program_evictions),
+                static_cast<unsigned long long>(verify_total.report_evictions));
     std::printf("static pre-screen: %s\n",
                 cached_context.oracle->screen_summary().c_str());
     std::printf("note: speedup saturates at the machine's physical core "

@@ -247,7 +247,6 @@ int run_open_loop(const std::vector<dataset::UbCase>& catalog,
             server_options.service.knowledge_base = &bench::knowledge_base();
             server_options.service.max_inflight = config.max_inflight;
             server_options.service.max_queue_ms = config.max_queue_ms;
-            server_options.frontend = serve::Frontend::Reactor;
             serve::RepairServer server(server_options);
 
             std::vector<std::unique_ptr<serve::RepairClient>> clients;

@@ -161,8 +161,15 @@ int main(int argc, char** argv) {
     verify::OracleOptions oracle_options;
     if (!screen_spec.empty()) oracle_options.screening = screen_spec == "on";
     if (interp) oracle_options.interp = interp;
-    const auto shared_oracle =
-        std::make_shared<verify::Oracle>(std::move(oracle_options));
+    std::shared_ptr<verify::Oracle> shared_oracle;
+    try {
+        shared_oracle =
+            std::make_shared<verify::Oracle>(std::move(oracle_options));
+    } catch (const std::invalid_argument& error) {
+        // A typo'd RUSTBRAIN_* knob names the variable and its values.
+        std::printf("error: %s\n", error.what());
+        return 2;
+    }
     const verify::Oracle& oracle = *shared_oracle;
     std::printf("interpreter tier: %s\n",
                 verify::to_string(oracle.interp_tier()));

@@ -8,12 +8,17 @@
 //
 // --engine/--policy set the defaults applied to requests that leave those
 // fields empty; both are validated against the registries at startup, so a
-// typo prints the help tables instead of failing every request later. The
-// knowledge base is seeded from the standard corpus (or --corpus <file>).
+// typo prints the help tables instead of failing every request later.
+// Numeric flags must be whole decimals in range for their field; anything
+// else prints usage and exits 2. The knowledge base is seeded from the
+// standard corpus (or --corpus <file>).
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "core/engine_registry.hpp"
@@ -31,13 +36,45 @@ int usage(const char* argv0) {
     std::printf("usage: %s [--port N] [--port-file <path>] [--workers N]\n"
                 "          [--engine <id>] [--policy <id>[,k=v...]]\n"
                 "          [--serve-once N] [--corpus <file>]\n"
-                "          [--frontend reactor|threads] [--max-inflight N]\n"
-                "          [--max-queue-ms X] [--max-connections N]\n"
+                "          [--max-inflight N] [--max-queue-ms X]\n"
+                "          [--max-connections N]\n"
                 "          [--stats]\n\n"
                 "available engines:\n%s\navailable policies:\n%s",
                 argv0, core::EngineRegistry::builtin().help().c_str(),
                 core::PolicyRegistry::builtin().help().c_str());
     return 2;
+}
+
+/// Parses all of `text` as a decimal in [0, max of T]. Rejects signs,
+/// whitespace, trailing junk and out-of-range values, which strtoul alone
+/// would wrap or truncate.
+template <typename T>
+bool parse_unsigned(const char* text, T& out) {
+    if (*text < '0' || *text > '9') return false;
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long value = std::strtoull(text, &end, 10);
+    if (errno != 0 || *end != '\0' || value > std::numeric_limits<T>::max()) {
+        return false;
+    }
+    out = static_cast<T>(value);
+    return true;
+}
+
+/// Parses all of `text` as a finite, non-negative decimal.
+bool parse_millis(const char* text, double& out) {
+    char* end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(value) || value < 0.0) {
+        return false;
+    }
+    out = value;
+    return true;
+}
+
+int bad_value(const char* argv0, const std::string& flag, const char* text) {
+    std::printf("error: bad value '%s' for %s\n\n", text, flag.c_str());
+    return usage(argv0);
 }
 
 }  // namespace
@@ -50,38 +87,37 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--port" && i + 1 < argc) {
-            options.port = static_cast<std::uint16_t>(
-                std::strtoul(argv[++i], nullptr, 10));
+            if (!parse_unsigned(argv[++i], options.port)) {
+                return bad_value(argv[0], arg, argv[i]);
+            }
         } else if (arg == "--port-file" && i + 1 < argc) {
             port_file = argv[++i];
         } else if (arg == "--workers" && i + 1 < argc) {
-            options.service.workers = static_cast<std::size_t>(
-                std::strtoul(argv[++i], nullptr, 10));
+            if (!parse_unsigned(argv[++i], options.service.workers)) {
+                return bad_value(argv[0], arg, argv[i]);
+            }
         } else if (arg == "--engine" && i + 1 < argc) {
             options.service.default_engine = argv[++i];
         } else if (arg == "--policy" && i + 1 < argc) {
             options.service.default_policy = argv[++i];
         } else if (arg == "--serve-once" && i + 1 < argc) {
-            options.max_requests = std::strtoull(argv[++i], nullptr, 10);
+            if (!parse_unsigned(argv[++i], options.max_requests)) {
+                return bad_value(argv[0], arg, argv[i]);
+            }
         } else if (arg == "--corpus" && i + 1 < argc) {
             corpus_path = argv[++i];
-        } else if (arg == "--frontend" && i + 1 < argc) {
-            const std::string name = argv[++i];
-            if (name == "reactor") {
-                options.frontend = serve::Frontend::Reactor;
-            } else if (name == "threads") {
-                options.frontend = serve::Frontend::Threads;
-            } else {
-                return usage(argv[0]);
-            }
         } else if (arg == "--max-inflight" && i + 1 < argc) {
-            options.service.max_inflight = static_cast<std::size_t>(
-                std::strtoul(argv[++i], nullptr, 10));
+            if (!parse_unsigned(argv[++i], options.service.max_inflight)) {
+                return bad_value(argv[0], arg, argv[i]);
+            }
         } else if (arg == "--max-queue-ms" && i + 1 < argc) {
-            options.service.max_queue_ms = std::strtod(argv[++i], nullptr);
+            if (!parse_millis(argv[++i], options.service.max_queue_ms)) {
+                return bad_value(argv[0], arg, argv[i]);
+            }
         } else if (arg == "--max-connections" && i + 1 < argc) {
-            options.max_connections = static_cast<std::size_t>(
-                std::strtoul(argv[++i], nullptr, 10));
+            if (!parse_unsigned(argv[++i], options.max_connections)) {
+                return bad_value(argv[0], arg, argv[i]);
+            }
         } else if (arg == "--stats") {
             print_stats = true;
         } else {
@@ -97,11 +133,10 @@ int main(int argc, char** argv) {
         std::printf("error: %s\n", error.what());
         return 1;
     }
-    kb::KnowledgeBase kbase;
-    const kb::SeedStats seeded = kb::seed_from_corpus(corpus, kbase);
-    options.service.knowledge_base = &kbase;
-
     try {
+        kb::KnowledgeBase kbase;
+        const kb::SeedStats seeded = kb::seed_from_corpus(corpus, kbase);
+        options.service.knowledge_base = &kbase;
         serve::RepairServer server(options);
         std::printf("repair_server: listening on 127.0.0.1:%u (%zu workers, "
                     "default engine %s, kb %zu entries)\n",
@@ -150,7 +185,8 @@ int main(int argc, char** argv) {
                     frontend.max_pipeline_depth));
         }
     } catch (const std::invalid_argument& error) {
-        // A bad --engine/--policy default: print the registry tables.
+        // A bad --engine/--policy default or a typo'd RUSTBRAIN_* knob:
+        // print the error and the registry tables.
         std::printf("error: %s\n\n", error.what());
         return usage(argv[0]);
     } catch (const std::exception& error) {

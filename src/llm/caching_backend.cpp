@@ -4,11 +4,8 @@
 
 namespace rustbrain::llm {
 
-PromptCache::PromptCache(support::EvictionPolicy policy,
-                         std::size_t capacity_per_shard) {
-    for (Shard& shard : shards_) {
-        shard.entries.configure(policy, capacity_per_shard);
-    }
+PromptCache::PromptCache(std::size_t capacity_per_shard) {
+    for (Shard& shard : shards_) shard.entries.configure(capacity_per_shard);
 }
 
 std::optional<ChatResponse> PromptCache::lookup(std::uint64_t key) {
@@ -40,7 +37,6 @@ PromptCacheStats PromptCache::stats() const {
         std::lock_guard<std::mutex> lock(shard.mutex);
         stats.entries += shard.entries.size();
         const support::LruStats& lru = shard.entries.stats();
-        stats.flushes += lru.flushes;
         stats.evictions += lru.evictions;
         stats.evicted_idle_ticks += lru.evicted_idle_ticks;
     }

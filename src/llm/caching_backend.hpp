@@ -15,10 +15,8 @@
 //
 // The store is sharded 16 ways to keep lock contention negligible when a
 // BatchRunner or RepairService fans requests out across workers. Each
-// shard is bounded by a support::LruMap: under the default Lru policy a
-// full shard evicts its least-recently-used entry (hot entries survive
-// pressure), while EvictionPolicy::FlushOnCap keeps the legacy
-// drop-the-whole-shard behavior for comparison. Either way dropping
+// shard is bounded by a support::LruMap: a full shard evicts its
+// least-recently-used entry, so hot entries survive pressure. Dropping
 // entries is always safe — bit-identity means only speed is at stake.
 #pragma once
 
@@ -39,12 +37,9 @@ struct PromptCacheStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::size_t entries = 0;
-    /// Legacy flush-on-cap events (EvictionPolicy::FlushOnCap only): how
-    /// many times a full shard was dropped wholesale.
-    std::uint64_t flushes = 0;
-    /// LRU evictions (default policy): single entries dropped at capacity,
-    /// plus the summed idle age (in shard accesses) of the victims —
-    /// evicted_idle_ticks / evictions = how cold the dropped entries were.
+    /// LRU evictions: single entries dropped at capacity, plus the summed
+    /// idle age (in shard accesses) of the victims — evicted_idle_ticks /
+    /// evictions = how cold the dropped entries were.
     std::uint64_t evictions = 0;
     std::uint64_t evicted_idle_ticks = 0;
 
@@ -56,12 +51,10 @@ struct PromptCacheStats {
 
 class PromptCache {
   public:
-    /// Default: true LRU eviction at ~512k responses total. The legacy
-    /// flush-on-cap behavior stays available behind the policy knob;
-    /// `capacity_per_shard` is exposed so tests can exercise eviction
-    /// pressure without millions of inserts.
+    /// Holds ~512k responses total by default; `capacity_per_shard` is
+    /// exposed so tests can exercise eviction pressure without millions
+    /// of inserts.
     explicit PromptCache(
-        support::EvictionPolicy policy = support::EvictionPolicy::Lru,
         std::size_t capacity_per_shard = kDefaultEntriesPerShard);
 
     /// Returns the cached response for a call identity, counting a hit or

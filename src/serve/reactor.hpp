@@ -40,12 +40,10 @@ namespace rustbrain::serve {
 /// Transient accept() failures (fd/buffer exhaustion) that deserve a
 /// backoff-and-retry instead of ending the accept loop: EMFILE, ENFILE,
 /// ENOBUFS, ENOMEM. ECONNABORTED and EINTR are retried immediately by the
-/// callers and are not classified here.
+/// accept loop and are not classified here.
 bool is_transient_accept_error(int error);
 
-/// Front-end counters. Filled by whichever frontend served: the reactor
-/// fills everything; the thread-per-connection frontend reports only the
-/// accept-side fields (loop/frame counters stay 0).
+/// Reactor counters over the server's lifetime (RepairServer::stats()).
 struct ServerStats {
     std::uint64_t loop_wakeups = 0;      // epoll_wait returns
     std::uint64_t frames_read = 0;       // complete request frames decoded

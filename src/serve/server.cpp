@@ -5,288 +5,52 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
-#include <utility>
-
-#include "serve/wire.hpp"
+#include <string>
 
 namespace rustbrain::serve {
 
 namespace {
 
-[[noreturn]] void fail_errno(const char* what) {
-    throw std::runtime_error(std::string(what) + ": " + std::strerror(errno));
+/// Closes `fd` and throws with the errno captured before the close.
+[[noreturn]] void fail_errno(const char* what, int fd) {
+    const int saved = errno;
+    if (fd >= 0) ::close(fd);
+    throw std::runtime_error(std::string(what) + ": " + std::strerror(saved));
 }
 
 }  // namespace
 
-RepairServer::RepairServer(ServerOptions options)
-    : options_(std::move(options)), service_(options_.service) {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) fail_errno("socket");
+RepairServer::RepairServer(ServerOptions options) : service_(options.service) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) fail_errno("socket", fd);
     const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
 
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(options_.port);
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-               sizeof addr) != 0) {
-        const int saved = errno;
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        errno = saved;
-        fail_errno("bind 127.0.0.1");
+    addr.sin_port = htons(options.port);
+    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+        0) {
+        fail_errno("bind 127.0.0.1", fd);
     }
     socklen_t addr_len = sizeof addr;
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                      &addr_len) != 0) {
-        const int saved = errno;
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        errno = saved;
-        fail_errno("getsockname");
+    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len) !=
+        0) {
+        fail_errno("getsockname", fd);
     }
     port_ = ntohs(addr.sin_port);
-    if (::listen(listen_fd_, 16) != 0) {
-        const int saved = errno;
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        errno = saved;
-        fail_errno("listen");
-    }
-    if (options_.frontend == Frontend::Reactor) {
-        Reactor::Options reactor_options;
-        reactor_options.max_requests = options_.max_requests;
-        reactor_options.max_connections = options_.max_connections;
-        reactor_options.send_buffer_bytes = options_.send_buffer_bytes;
-        // The reactor takes ownership of the listening fd.
-        const int fd = listen_fd_;
-        listen_fd_ = -1;
-        reactor_ =
-            std::make_unique<Reactor>(fd, service_, reactor_options);
-    } else {
-        acceptor_ = std::thread([this] { accept_loop(); });
-    }
-}
+    if (::listen(fd, 16) != 0) fail_errno("listen", fd);
 
-RepairServer::~RepairServer() { stop(); }
-
-std::uint64_t RepairServer::requests_served() const {
-    if (reactor_ != nullptr) return reactor_->requests_served();
-    return requests_served_.load();
-}
-
-ServerStats RepairServer::stats() const {
-    if (reactor_ != nullptr) return reactor_->stats();
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    return thread_stats_;
-}
-
-void RepairServer::reject_connection(int fd, std::size_t open) {
-    RepairResponse refusal;
-    refusal.ok = false;
-    refusal.shed = true;
-    refusal.retry_after_ms = 100.0;
-    refusal.error = "server connection cap reached (" + std::to_string(open) +
-                    " open); retry in ~100 ms";
-    try {
-        write_frame(fd, render_response(refusal));
-    } catch (const std::exception&) {
-        // Best effort only — the peer may already be gone.
-    }
-    ::close(fd);
-}
-
-void RepairServer::accept_loop() {
-    int backoff_ms = 0;
-    while (true) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR || errno == ECONNABORTED) continue;
-            if (is_transient_accept_error(errno)) {
-                // EMFILE-class fd/buffer exhaustion is transient: back off
-                // and retry (capped exponential) instead of ending the
-                // accept loop while handlers are still draining fds.
-                {
-                    const std::lock_guard<std::mutex> lock(stats_mutex_);
-                    ++thread_stats_.accept_retries;
-                }
-                bool should_stop = false;
-                {
-                    const std::lock_guard<std::mutex> lock(mutex_);
-                    should_stop = stopping_;
-                }
-                if (should_stop) break;
-                backoff_ms = backoff_ms == 0 ? 10
-                                             : std::min(backoff_ms * 2, 200);
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(backoff_ms));
-                continue;
-            }
-            // stop() shut the listener down — or it genuinely failed;
-            // either way the accept loop is over.
-            break;
-        }
-        backoff_ms = 0;
-        bool rejected = false;
-        std::size_t open = 0;
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            if (stopping_) {
-                ::close(fd);
-                continue;
-            }
-            open = open_connections_.size();
-            if (options_.max_connections > 0 &&
-                open >= options_.max_connections) {
-                rejected = true;
-            } else {
-                open_connections_.push_back(fd);
-                ++active_handlers_;
-            }
-        }
-        if (rejected) {
-            {
-                const std::lock_guard<std::mutex> lock(stats_mutex_);
-                ++thread_stats_.connections_rejected;
-            }
-            reject_connection(fd, open);
-            continue;
-        }
-        {
-            const std::lock_guard<std::mutex> lock(stats_mutex_);
-            ++thread_stats_.connections_accepted;
-        }
-        try {
-            std::thread([this, fd] { handle_connection(fd); }).detach();
-        } catch (...) {
-            // Could not spawn a handler: undo the registration and drop
-            // the connection instead of leaking the liveness count.
-            {
-                const std::lock_guard<std::mutex> lock(mutex_);
-                open_connections_.erase(
-                    std::remove(open_connections_.begin(),
-                                open_connections_.end(), fd),
-                    open_connections_.end());
-                --active_handlers_;
-            }
-            stopped_cv_.notify_all();
-            ::close(fd);
-        }
-    }
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        accept_done_ = true;
-    }
-    stopped_cv_.notify_all();
-}
-
-void RepairServer::handle_connection(int fd) {
-    std::string payload;
-    while (true) {
-        try {
-            if (!read_frame(fd, payload)) break;  // client closed cleanly
-        } catch (const std::exception&) {
-            break;  // unframeable stream: nothing sane left to answer on
-        }
-        RepairResponse response;
-        try {
-            response = service_.repair(parse_request(payload));
-        } catch (const std::exception& error) {
-            // A frame that does not parse as a request still gets a framed
-            // answer — the bad-request error path CI exercises.
-            response.ok = false;
-            response.error = error.what();
-        }
-        try {
-            write_frame(fd, render_response(response));
-        } catch (const std::exception&) {
-            break;  // client went away mid-response
-        }
-        const std::uint64_t served = requests_served_.fetch_add(1) + 1;
-        if (options_.max_requests != 0 && served >= options_.max_requests) {
-            // Budget reached: close the front door. The joins happen in
-            // stop()/wait() on an external thread — never here, a handler
-            // cannot join itself.
-            bool already_stopping = false;
-            {
-                const std::lock_guard<std::mutex> lock(mutex_);
-                already_stopping = stopping_;
-                stopping_ = true;
-            }
-            if (!already_stopping && listen_fd_ >= 0) {
-                ::shutdown(listen_fd_, SHUT_RDWR);
-            }
-            stopped_cv_.notify_all();
-            break;
-        }
-    }
-    ::shutdown(fd, SHUT_RDWR);
-    {
-        // Self-reap: this detached thread's decrement (and the notify,
-        // made under the lock so stop() cannot miss it) is its last touch
-        // of `this` — after the unlock, stop() may return and the server
-        // may be destroyed. Only the local fd is used past this point.
-        const std::lock_guard<std::mutex> lock(mutex_);
-        open_connections_.erase(std::remove(open_connections_.begin(),
-                                            open_connections_.end(), fd),
-                                open_connections_.end());
-        --active_handlers_;
-        stopped_cv_.notify_all();
-    }
-    ::close(fd);
-}
-
-void RepairServer::stop() {
-    // One stop at a time: wait() and the destructor may call this
-    // concurrently, and only one caller may join the acceptor.
-    const std::lock_guard<std::mutex> stop_lock(stop_mutex_);
-    if (reactor_ != nullptr) {
-        reactor_->stop();
-        return;
-    }
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-        // Wake handlers parked in read_frame on idle connections: their
-        // next read returns 0 and they exit, so the drain below finishes
-        // even against a client that never closes.
-        for (int fd : open_connections_) ::shutdown(fd, SHUT_RDWR);
-    }
-    if (listen_fd_ >= 0) {
-        ::shutdown(listen_fd_, SHUT_RDWR);
-    }
-    stopped_cv_.notify_all();
-    if (acceptor_.joinable()) acceptor_.join();
-    {
-        // Handlers are detached; wait for every one to self-reap before
-        // the server (and the RepairService they call into) goes away.
-        std::unique_lock<std::mutex> lock(mutex_);
-        stopped_cv_.wait(lock, [this] { return active_handlers_ == 0; });
-    }
-    if (listen_fd_ >= 0) {
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-    }
-}
-
-void RepairServer::wait() {
-    if (reactor_ != nullptr) {
-        reactor_->wait();
-        stop();
-        return;
-    }
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        stopped_cv_.wait(lock, [this] { return stopping_ || accept_done_; });
-    }
-    stop();
+    Reactor::Options reactor_options;
+    reactor_options.max_requests = options.max_requests;
+    reactor_options.max_connections = options.max_connections;
+    reactor_options.send_buffer_bytes = options.send_buffer_bytes;
+    // The reactor takes ownership of the listening fd.
+    reactor_ = std::make_unique<Reactor>(fd, service_, reactor_options);
 }
 
 }  // namespace rustbrain::serve

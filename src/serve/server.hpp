@@ -1,43 +1,26 @@
 // RepairServer — the loopback socket front-end over RepairService.
 //
 // Binds 127.0.0.1:<port> (port 0 = ephemeral, the bound port is queryable
-// for --port-file handoff) and serves framed repair requests through one
-// of two frontends:
+// for --port-file handoff) and hands the listening socket to a
+// single-threaded epoll Reactor (serve/reactor.hpp): nonblocking accepts,
+// incremental per-connection frame decoding, pipelining with strictly
+// in-request-order responses, and buffered writes so a slow reader never
+// blocks anyone else.
 //
-//   Frontend::Reactor (default) — a single-threaded epoll loop
-//   (serve/reactor.hpp): nonblocking accepts, incremental per-connection
-//   frame decoding, pipelining with strictly in-request-order responses,
-//   and buffered writes so a slow reader never blocks anyone else.
-//
-//   Frontend::Threads — the original thread-per-connection path, kept as
-//   the reference oracle: read one framed request, hand it to the shared
-//   RepairService, write one framed response, repeat until the client
-//   closes.
-//
-// Under either frontend a malformed frame gets an ok=0 error response
-// naming the parse failure — one bad client cannot take the service
-// down — and only an unframeable stream closes the connection. Transient
-// accept() failures (EMFILE-class fd exhaustion) are retried with capped
-// exponential backoff and counted in stats(), never treated as fatal.
+// A malformed frame gets an ok=0 error response naming the parse failure —
+// one bad client cannot take the service down — and only an unframeable
+// stream closes the connection. Transient accept() failures (EMFILE-class
+// fd exhaustion) are retried with capped exponential backoff and counted
+// in stats(), never treated as fatal.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "serve/reactor.hpp"
 #include "serve/service.hpp"
 
 namespace rustbrain::serve {
-
-enum class Frontend {
-    Reactor,  // single-threaded epoll loop, pipelining-capable
-    Threads,  // thread-per-connection reference oracle
-};
 
 struct ServerOptions {
     ServiceOptions service;
@@ -48,14 +31,12 @@ struct ServerOptions {
     /// stop()). The CI smoke job uses this for a clean, deterministic
     /// shutdown.
     std::uint64_t max_requests = 0;
-    Frontend frontend = Frontend::Reactor;
     /// Cap on concurrently open connections (0 = uncapped). Over-cap
     /// connections are accepted, sent one framed shed response with retry
     /// advice, and closed — never silently dropped.
     std::size_t max_connections = 0;
     /// SO_SNDBUF requested for accepted connections (0 = kernel default).
-    /// Reactor frontend only; tests shrink it to force partial vectored
-    /// writes deterministically.
+    /// Tests shrink it to force partial vectored writes deterministically.
     int send_buffer_bytes = 0;
 };
 
@@ -64,55 +45,34 @@ class RepairServer {
     /// Binds and starts accepting. Throws std::runtime_error when the
     /// socket cannot be created or bound.
     explicit RepairServer(ServerOptions options = {});
-    ~RepairServer();
     RepairServer(const RepairServer&) = delete;
     RepairServer& operator=(const RepairServer&) = delete;
 
     [[nodiscard]] std::uint16_t port() const { return port_; }
     [[nodiscard]] RepairService& service() { return service_; }
-    [[nodiscard]] std::uint64_t requests_served() const;
-    /// Frontend counters: the reactor fills everything; the threads
-    /// frontend reports only the accept-side fields.
-    [[nodiscard]] ServerStats stats() const;
+    [[nodiscard]] std::uint64_t requests_served() const {
+        return reactor_->requests_served();
+    }
+    [[nodiscard]] ServerStats stats() const { return reactor_->stats(); }
 
-    /// Stop accepting, close the listener, drain every handler.
-    /// Idempotent, including against concurrent callers.
-    void stop();
+    /// Stop accepting, close the listener and every connection, drain
+    /// outstanding completions. Idempotent, including against concurrent
+    /// callers.
+    void stop() { reactor_->stop(); }
     /// Block until the server stopped (stop() called, or max_requests
-    /// reached and the last connection drained).
-    void wait();
+    /// reached and the last pipelined request drained).
+    void wait() {
+        reactor_->wait();
+        stop();
+    }
 
   private:
-    void accept_loop();
-    void handle_connection(int fd);
-    /// Threads-frontend connection cap: send one framed shed response and
-    /// close. Best effort — the refusal must not block the acceptor.
-    void reject_connection(int fd, std::size_t open);
-
-    ServerOptions options_;
     RepairService service_;
-    int listen_fd_ = -1;
     std::uint16_t port_ = 0;
-    /// Declared after service_ so it destructs first: the reactor drains
-    /// its outstanding service completions before the service goes away.
+    /// Declared after service_ so it destructs first: the reactor stops
+    /// and drains its outstanding service completions before the service
+    /// goes away.
     std::unique_ptr<Reactor> reactor_;
-    std::thread acceptor_;
-    std::mutex mutex_;
-    /// Serializes stop() bodies: wait() and the destructor may race, and
-    /// only one of them may join the acceptor.
-    std::mutex stop_mutex_;
-    std::condition_variable stopped_cv_;
-    /// Handlers are detached and self-reaping (a long-lived server must
-    /// not accumulate one dead std::thread per finished connection); this
-    /// count is how stop() knows every handler has drained.
-    std::size_t active_handlers_ = 0;
-    std::vector<int> open_connections_;
-    bool stopping_ = false;
-    bool accept_done_ = false;
-    std::atomic<std::uint64_t> requests_served_{0};
-    /// Threads-frontend accept-side counters (guarded by stats_mutex_).
-    mutable std::mutex stats_mutex_;
-    ServerStats thread_stats_;
 };
 
 }  // namespace rustbrain::serve

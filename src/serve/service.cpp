@@ -21,14 +21,12 @@ double elapsed_ms(std::chrono::steady_clock::time_point since) {
 RepairService::RepairService(ServiceOptions options)
     : options_(std::move(options)),
       pool_(options_.workers),
-      prompt_cache_(
-          std::make_shared<llm::PromptCache>(options_.cache_policy)) {
+      prompt_cache_(std::make_shared<llm::PromptCache>()) {
     if (options_.oracle != nullptr) {
         oracle_ = options_.oracle;
     } else {
         verify::OracleOptions oracle_options;
-        oracle_options.cache =
-            std::make_shared<verify::VerifyCache>(options_.cache_policy);
+        oracle_options.cache = std::make_shared<verify::VerifyCache>();
         oracle_ = std::make_shared<verify::Oracle>(std::move(oracle_options));
     }
     // Validate the default strategy eagerly: a typo in default_engine or

@@ -39,7 +39,6 @@
 #include "dataset/case.hpp"
 #include "kb/knowledge_base.hpp"
 #include "llm/caching_backend.hpp"
-#include "support/lru.hpp"
 #include "support/stats.hpp"
 #include "support/thread_pool.hpp"
 #include "support/work_steal.hpp"
@@ -95,10 +94,8 @@ struct ServiceOptions {
     std::string default_policy;
     /// Shared knowledge base (may be null: engines run knowledge-free).
     const kb::KnowledgeBase* knowledge_base = nullptr;
-    /// Eviction policy for the service's PromptCache and VerifyCache.
-    support::EvictionPolicy cache_policy = support::EvictionPolicy::Lru;
     /// Oracle shared by every request; null => the service builds its own
-    /// (own VerifyCache under `cache_policy`, RUSTBRAIN_* env honoured).
+    /// (own LRU VerifyCache, RUSTBRAIN_* env honoured).
     std::shared_ptr<const verify::Oracle> oracle;
     /// Optional observer for ServiceQueue / ServiceComplete events.
     /// Emission is serialized by the service, so any sink is safe; the
@@ -169,7 +166,8 @@ class RepairService {
     void submit_async(RepairRequest request,
                       std::function<void(RepairResponse)> done);
 
-    /// submit + wait: the synchronous shape connection handlers use.
+    /// submit + wait: the synchronous shape for in-process callers (the
+    /// reactor uses submit_async).
     RepairResponse repair(RepairRequest request);
 
     /// Deterministic mode: submit every request, then merge the responses

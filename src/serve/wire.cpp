@@ -364,7 +364,7 @@ void write_frame(int fd, const std::string& payload) {
     std::size_t written = 0;
     while (written < framed.size()) {
         // MSG_NOSIGNAL: a peer that disconnects before the response lands
-        // must surface as EPIPE (an exception the handler catches), not as
+        // must surface as EPIPE (an exception the caller catches), not as
         // a SIGPIPE that kills the whole process.
         ssize_t n = ::send(fd, framed.data() + written,
                            framed.size() - written, MSG_NOSIGNAL);

@@ -7,12 +7,8 @@
 // requests. LruMap keeps an access-ordered list next to the index: find()
 // moves an entry to the front, insertion past capacity evicts from the
 // back, and every eviction records how long the victim had been idle (in
-// accesses), so cache pressure is observable instead of silent.
-//
-// The legacy behavior survives behind EvictionPolicy::FlushOnCap (a full
-// clear() when the cap is reached) for comparison and regression coverage;
-// both policies are pure performance knobs — the caches' bit-identity
-// contract means dropping any entry is always safe.
+// accesses), so cache pressure is observable instead of silent. The
+// caches' bit-identity contract means dropping any entry is always safe.
 //
 // Not thread-safe by itself: callers shard and lock exactly as they did
 // around the unordered_map this replaces.
@@ -26,14 +22,8 @@
 
 namespace rustbrain::support {
 
-enum class EvictionPolicy {
-    Lru,         // evict the least-recently-used entry, one at a time
-    FlushOnCap,  // legacy: drop the whole map when the cap is reached
-};
-
 struct LruStats {
     std::uint64_t evictions = 0;  // single-entry LRU evictions
-    std::uint64_t flushes = 0;    // whole-map FlushOnCap drops
     /// Sum over evictions of how many accesses ago the victim was last
     /// touched; evicted_idle_ticks / evictions = mean idle age at eviction.
     std::uint64_t evicted_idle_ticks = 0;
@@ -44,10 +34,9 @@ class LruMap {
   public:
     LruMap() = default;
 
-    /// Both knobs, applied before first use (the shard arrays that hold
-    /// LruMaps are default-constructed). `capacity` 0 means 1.
-    void configure(EvictionPolicy policy, std::size_t capacity) {
-        policy_ = policy;
+    /// Applied before first use (the shard arrays that hold LruMaps are
+    /// default-constructed). `capacity` 0 means 1.
+    void configure(std::size_t capacity) {
         capacity_ = capacity == 0 ? 1 : capacity;
     }
 
@@ -70,31 +59,21 @@ class LruMap {
         return it == index_.end() ? nullptr : &it->second->value;
     }
 
-    /// Insert a fresh entry as most-recently-used, evicting (or flushing)
-    /// first when at capacity. Precondition: `key` is absent (callers
-    /// always find() first under the same lock).
+    /// Insert a fresh entry as most-recently-used, evicting the
+    /// least-recently-used one first when at capacity. Precondition: `key`
+    /// is absent (callers always find() first under the same lock).
     Value& insert(const Key& key, Value value) {
         if (order_.size() >= capacity_) {
-            if (policy_ == EvictionPolicy::FlushOnCap) {
-                clear();
-                ++stats_.flushes;
-            } else {
-                const Node& victim = order_.back();
-                ++stats_.evictions;
-                stats_.evicted_idle_ticks += tick_ - victim.last_touch;
-                index_.erase(victim.key);
-                order_.pop_back();
-            }
+            const Node& victim = order_.back();
+            ++stats_.evictions;
+            stats_.evicted_idle_ticks += tick_ - victim.last_touch;
+            index_.erase(victim.key);
+            order_.pop_back();
         }
         ++tick_;
         order_.push_front(Node{key, std::move(value), tick_});
         index_.emplace(key, order_.begin());
         return order_.front().value;
-    }
-
-    void clear() {
-        index_.clear();
-        order_.clear();
     }
 
     [[nodiscard]] std::size_t size() const { return order_.size(); }
@@ -108,7 +87,6 @@ class LruMap {
         std::uint64_t last_touch = 0;
     };
 
-    EvictionPolicy policy_ = EvictionPolicy::Lru;
     std::size_t capacity_ = 1;
     std::uint64_t tick_ = 0;  // access clock: one tick per find-hit/insert
     std::list<Node> order_;   // front = most recent, back = eviction victim

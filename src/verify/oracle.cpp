@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <set>
+#include <stdexcept>
 #include <utility>
 
 #include "lang/parser.hpp"
@@ -50,12 +51,11 @@ const vm::VmProgram& CompiledProgram::optimized_bytecode() const {
 // VerifyCache
 // ---------------------------------------------------------------------------
 
-VerifyCache::VerifyCache(support::EvictionPolicy policy,
-                         std::size_t programs_per_shard,
+VerifyCache::VerifyCache(std::size_t programs_per_shard,
                          std::size_t reports_per_shard) {
     for (Shard& shard : shards_) {
-        shard.programs.configure(policy, programs_per_shard);
-        shard.reports.configure(policy, reports_per_shard);
+        shard.programs.configure(programs_per_shard);
+        shard.reports.configure(reports_per_shard);
     }
 }
 
@@ -139,8 +139,6 @@ VerifyCacheStats VerifyCache::stats() const {
         stats.reports += shard.reports.size();
         const support::LruStats& programs = shard.programs.stats();
         const support::LruStats& reports = shard.reports.stats();
-        stats.program_flushes += programs.flushes;
-        stats.report_flushes += reports.flushes;
         stats.program_evictions += programs.evictions;
         stats.report_evictions += reports.evictions;
         stats.program_evicted_idle_ticks += programs.evicted_idle_ticks;
@@ -161,31 +159,29 @@ const std::shared_ptr<VerifyCache>& VerifyCache::process_wide() {
 
 namespace {
 
-bool cache_enabled_from_env() {
-    const char* value = std::getenv("RUSTBRAIN_VERIFY_CACHE");
-    if (value == nullptr) return true;
-    const std::string text = value;
-    return !(text == "off" || text == "0" || text == "false");
+[[noreturn]] void reject_env(const char* name, const std::string& value,
+                             const std::string& accepted) {
+    throw std::invalid_argument("unknown " + std::string(name) + " value '" +
+                                value + "'; accepted: " + accepted);
 }
 
-bool screen_enabled_from_env() {
-    const char* value = std::getenv("RUSTBRAIN_SCREEN");
+/// An on/off env switch; unset means on.
+bool switch_from_env(const char* name) {
+    const char* value = std::getenv(name);
     if (value == nullptr) return true;
     const std::string text = value;
-    return !(text == "off" || text == "0" || text == "false");
+    if (text == "on" || text == "1" || text == "true") return true;
+    if (text == "off" || text == "0" || text == "false") return false;
+    reject_env(name, text, "on, off, 1, 0, true, false");
 }
 
+/// RUSTBRAIN_INTERP; unset means slot.
 InterpTier interp_from_env() {
     const char* value = std::getenv("RUSTBRAIN_INTERP");
     if (value == nullptr) return InterpTier::Slot;
-    return parse_interp_tier(value).value_or(InterpTier::Slot);
-}
-
-bool vm_opt_from_env() {
-    const char* value = std::getenv("RUSTBRAIN_VM_OPT");
-    if (value == nullptr) return true;
-    const std::string text = value;
-    return !(text == "off" || text == "0" || text == "false");
+    const std::optional<InterpTier> tier = parse_interp_tier(value);
+    if (!tier) reject_env("RUSTBRAIN_INTERP", value, interp_tier_names());
+    return *tier;
 }
 
 /// Seed for the independent second source hash (an arbitrary odd constant
@@ -220,10 +216,14 @@ Oracle::Oracle(OracleOptions options)
     : limits_(options.limits),
       cache_(options.cache != nullptr ? std::move(options.cache)
                                       : VerifyCache::process_wide()),
-      caching_(options.caching.value_or(cache_enabled_from_env())),
-      screening_(options.screening.value_or(screen_enabled_from_env())),
-      interp_(options.interp.value_or(interp_from_env())),
-      vm_opt_(options.vm_opt.value_or(vm_opt_from_env())),
+      // The env is read only for knobs the options leave unset.
+      caching_(options.caching ? *options.caching
+                               : switch_from_env("RUSTBRAIN_VERIFY_CACHE")),
+      screening_(options.screening ? *options.screening
+                                   : switch_from_env("RUSTBRAIN_SCREEN")),
+      interp_(options.interp ? *options.interp : interp_from_env()),
+      vm_opt_(options.vm_opt ? *options.vm_opt
+                             : switch_from_env("RUSTBRAIN_VM_OPT")),
       screen_options_(options.screen) {}
 
 const Oracle& Oracle::shared_default() {
@@ -418,9 +418,7 @@ std::string Oracle::stats_summary() const {
            std::to_string(s.report_hits) + " report hits / " +
            std::to_string(s.report_misses) + " misses, " +
            std::to_string(s.program_evictions + s.report_evictions) +
-           " evictions, " +
-           std::to_string(s.program_flushes + s.report_flushes) +
-           " shard flushes" + (caching_ ? "" : " (RUSTBRAIN_VERIFY_CACHE=off)");
+           " evictions" + (caching_ ? "" : " (RUSTBRAIN_VERIFY_CACHE=off)");
 }
 
 ScreenStats Oracle::screen_stats() const {

@@ -125,14 +125,9 @@ struct VerifyCacheStats {
     std::uint64_t report_misses = 0;
     std::size_t programs = 0;  // distinct compiled sources held
     std::size_t reports = 0;   // distinct memoized reports held
-    /// Legacy flush-on-cap events (EvictionPolicy::FlushOnCap only): how
-    /// many times a full shard was dropped wholesale; bit-identity makes
-    /// every flush safe.
-    std::uint64_t program_flushes = 0;
-    std::uint64_t report_flushes = 0;
-    /// LRU evictions (default policy): single least-recently-used entries
-    /// dropped at capacity, plus the summed idle age (in shard accesses)
-    /// of the victims — hot entries survive pressure under LRU.
+    /// LRU evictions: single least-recently-used entries dropped at
+    /// capacity, plus the summed idle age (in shard accesses) of the
+    /// victims — hot entries survive pressure under LRU.
     std::uint64_t program_evictions = 0;
     std::uint64_t report_evictions = 0;
     std::uint64_t program_evicted_idle_ticks = 0;
@@ -156,7 +151,7 @@ struct ScreenVerdictRecord {
 /// the hot (hit) path never copies the input vectors. The 64-bit `hash`
 /// routes and indexes; the remaining fields are the full key material,
 /// re-verified on every hit. `fingerprint` + `check` are two independent
-/// hashes of the source text, so even after a program-shard flush changes
+/// hashes of the source text, so even after a program eviction changes
 /// which source is canonical for a fingerprint, a collision cannot be
 /// served another source's report (the bit-identity contract beats a few
 /// compares).
@@ -175,19 +170,16 @@ struct ReportKeyView {
 /// Collision safety: entries keep their full key material (the source text
 /// for programs, ReportKey for reports) and verify it on every hit; a
 /// 64-bit hash collision is answered by recomputing, never by the wrong
-/// entry. Growth is bounded: each shard is a support::LruMap — under the
-/// default Lru policy a full shard evicts its least-recently-used entry
-/// (hits promote, so hot programs and reports survive pressure), while
-/// EvictionPolicy::FlushOnCap keeps the legacy drop-the-whole-shard
-/// behavior. Bit-identity makes dropping entries always safe — only speed
-/// is lost.
+/// entry. Growth is bounded: each shard is a support::LruMap — a full shard
+/// evicts its least-recently-used entry (hits promote, so hot programs and
+/// reports survive pressure). Bit-identity makes dropping entries always
+/// safe — only speed is lost.
 class VerifyCache {
   public:
-    /// Default: true LRU eviction at ~64k programs / ~128k reports total.
-    /// The capacities are exposed so tests can exercise eviction pressure
+    /// Holds ~64k programs / ~128k reports total by default. The
+    /// capacities are exposed so tests can exercise eviction pressure
     /// cheaply.
     explicit VerifyCache(
-        support::EvictionPolicy policy = support::EvictionPolicy::Lru,
         std::size_t programs_per_shard = kDefaultProgramsPerShard,
         std::size_t reports_per_shard = kDefaultReportsPerShard);
 
@@ -255,7 +247,7 @@ struct OracleOptions {
     /// Store to memoize into; null => VerifyCache::process_wide().
     std::shared_ptr<VerifyCache> cache;
     /// Explicit cache on/off; unset => honour RUSTBRAIN_VERIFY_CACHE
-    /// (anything but "off"/"0"/"false" means on).
+    /// (on|1|true or off|0|false; unset env means on).
     std::optional<bool> caching;
     /// Explicit screening on/off; unset => honour RUSTBRAIN_SCREEN (same
     /// convention as the cache knob).
@@ -263,13 +255,12 @@ struct OracleOptions {
     /// Screener budget (per-candidate abstract-op cap).
     screen::ScreenOptions screen;
     /// Which interpreter runs uncached work; unset => honour
-    /// RUSTBRAIN_INTERP=tree|slot|vm (unset or unrecognized values fall
-    /// back to the slot default). Pure performance knob: reports are
-    /// byte-identical across tiers.
+    /// RUSTBRAIN_INTERP=tree|slot|vm (unset env means slot). Pure
+    /// performance knob: reports are byte-identical across tiers.
     std::optional<InterpTier> interp;
     /// Run the vm tier on vm::optimize output (superinstructions +
-    /// register promotion)? Unset => honour RUSTBRAIN_VM_OPT (anything
-    /// but "off"/"0"/"false" means on). Ignored by the tree/slot tiers;
+    /// register promotion)? Unset => honour RUSTBRAIN_VM_OPT (same
+    /// convention as the cache knob). Ignored by the tree/slot tiers;
     /// byte-identical either way — a pure performance knob.
     std::optional<bool> vm_opt;
 };
@@ -302,6 +293,9 @@ struct VerifyOutcome {
 
 class Oracle {
   public:
+    /// Throws std::invalid_argument, naming the variable and listing the
+    /// accepted values, when an env knob it honours (RUSTBRAIN_VERIFY_CACHE,
+    /// _SCREEN, _INTERP, _VM_OPT) holds any other value.
     explicit Oracle(OracleOptions options = {});
     virtual ~Oracle() = default;
     Oracle(const Oracle&) = delete;

@@ -1,7 +1,6 @@
 // support::LruMap and the shared caches built on it: true LRU keeps hot
-// entries alive under eviction pressure (the regression the flush-on-cap
-// behavior failed), FlushOnCap stays reachable behind the policy knob, and
-// the eviction/age stats surface what was dropped.
+// entries alive under eviction pressure, and the eviction/age stats
+// surface what was dropped.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,7 +15,7 @@ namespace {
 
 TEST(LruMapTest, FindPromotesAndInsertEvictsTheColdest) {
     LruMap<int, std::string> map;
-    map.configure(EvictionPolicy::Lru, 3);
+    map.configure(3);
     map.insert(1, "one");
     map.insert(2, "two");
     map.insert(3, "three");
@@ -29,14 +28,13 @@ TEST(LruMapTest, FindPromotesAndInsertEvictsTheColdest) {
     EXPECT_NE(map.find(4), nullptr);
     EXPECT_EQ(map.size(), 3u);
     EXPECT_EQ(map.stats().evictions, 1u);
-    EXPECT_EQ(map.stats().flushes, 0u);
 }
 
 TEST(LruMapTest, HotKeySurvivesSustainedEvictionPressure) {
     // The regression flush-on-cap failed: a key touched on every access
     // must survive arbitrarily many cold inserts.
     LruMap<int, int> map;
-    map.configure(EvictionPolicy::Lru, 4);
+    map.configure(4);
     map.insert(0, 0);
     for (int cold = 1; cold <= 100; ++cold) {
         ASSERT_NE(map.find(0), nullptr) << "hot key evicted at " << cold;
@@ -51,7 +49,7 @@ TEST(LruMapTest, PeekDoesNotPromote) {
     // and only a validated hit may refresh the entry's LRU position. A
     // mismatching probe (counted as a miss) must leave the order alone.
     LruMap<int, std::string> map;
-    map.configure(EvictionPolicy::Lru, 2);
+    map.configure(2);
     map.insert(1, "one");
     map.insert(2, "two");
     // 1 is the LRU victim; repeated peeks must not rescue it.
@@ -62,25 +60,9 @@ TEST(LruMapTest, PeekDoesNotPromote) {
     EXPECT_NE(map.peek(3), nullptr);
 }
 
-TEST(LruMapTest, FlushOnCapDropsEverythingAndCounts) {
-    LruMap<int, int> map;
-    map.configure(EvictionPolicy::FlushOnCap, 3);
-    map.insert(1, 1);
-    map.insert(2, 2);
-    map.insert(3, 3);
-    map.insert(4, 4);  // cap reached: whole map dropped first
-    EXPECT_EQ(map.find(1), nullptr);
-    EXPECT_EQ(map.find(2), nullptr);
-    EXPECT_EQ(map.find(3), nullptr);
-    EXPECT_NE(map.find(4), nullptr);
-    EXPECT_EQ(map.size(), 1u);
-    EXPECT_EQ(map.stats().flushes, 1u);
-    EXPECT_EQ(map.stats().evictions, 0u);
-}
-
 TEST(LruMapTest, EvictedIdleTicksMeasureVictimColdness) {
     LruMap<int, int> map;
-    map.configure(EvictionPolicy::Lru, 2);
+    map.configure(2);
     map.insert(1, 1);
     map.insert(2, 2);
     // Several accesses to 2 age entry 1 before it gets evicted.
@@ -91,7 +73,7 @@ TEST(LruMapTest, EvictedIdleTicksMeasureVictimColdness) {
 }
 
 TEST(PromptCacheLruTest, HotPromptSurvivesEvictionPressure) {
-    llm::PromptCache cache(EvictionPolicy::Lru, /*capacity_per_shard=*/4);
+    llm::PromptCache cache(/*capacity_per_shard=*/4);
     llm::ChatResponse response;
     response.content = "hot";
     constexpr std::uint64_t kShardStride = 16;  // all keys land in shard 0
@@ -107,7 +89,6 @@ TEST(PromptCacheLruTest, HotPromptSurvivesEvictionPressure) {
     EXPECT_EQ(cache.lookup(0)->content, "hot");
     const llm::PromptCacheStats stats = cache.stats();
     EXPECT_GT(stats.evictions, 0u);
-    EXPECT_EQ(stats.flushes, 0u);
     EXPECT_GT(stats.evicted_idle_ticks, 0u);
     // An early cold key is long gone.
     EXPECT_FALSE(cache.lookup(1 * kShardStride).has_value());
@@ -116,7 +97,7 @@ TEST(PromptCacheLruTest, HotPromptSurvivesEvictionPressure) {
 TEST(VerifyCacheLruTest, HotProgramSurvivesAndEvictionsAreCounted) {
     verify::OracleOptions options;
     options.cache = std::make_shared<verify::VerifyCache>(
-        EvictionPolicy::Lru, /*programs_per_shard=*/2, /*reports_per_shard=*/2);
+        /*programs_per_shard=*/2, /*reports_per_shard=*/2);
     options.caching = true;
     const verify::Oracle oracle(std::move(options));
 
@@ -135,24 +116,7 @@ TEST(VerifyCacheLruTest, HotProgramSurvivesAndEvictionsAreCounted) {
     }
     const verify::VerifyCacheStats stats = oracle.stats();
     EXPECT_GT(stats.program_evictions, 0u);
-    EXPECT_EQ(stats.program_flushes, 0u);
     EXPECT_GT(stats.program_hits, 0u);
-}
-
-TEST(VerifyCacheLruTest, FlushOnCapKnobStillFlushesShards) {
-    verify::OracleOptions options;
-    options.cache = std::make_shared<verify::VerifyCache>(
-        EvictionPolicy::FlushOnCap, /*programs_per_shard=*/2,
-        /*reports_per_shard=*/2);
-    options.caching = true;
-    const verify::Oracle oracle(std::move(options));
-    for (int i = 0; i < 64; ++i) {
-        (void)oracle.compile("fn main() {\n    print_int(" +
-                             std::to_string(i) + ");\n}\n");
-    }
-    const verify::VerifyCacheStats stats = oracle.stats();
-    EXPECT_GT(stats.program_flushes, 0u);
-    EXPECT_EQ(stats.program_evictions, 0u);
 }
 
 }  // namespace

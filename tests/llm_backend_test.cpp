@@ -138,24 +138,25 @@ TEST(CachingBackendTest, HitsPreserveResponseBytes) {
 }
 
 TEST(CachingBackendTest, FullShardFlushesAndCounts) {
-    // Legacy policy knob: keys are sharded key % 16; hammering one shard
-    // past its cap must flush it (bit-identity makes dropping entries
-    // safe) and count the event in stats — never grow without bound.
-    PromptCache cache(support::EvictionPolicy::FlushOnCap);
+    // Keys are sharded key % 16; hammering one shard past its default cap
+    // must drop its oldest entries (bit-identity makes dropping entries
+    // safe) and count them in stats — never grow without bound.
+    PromptCache cache;
     ChatResponse response;
     response.content = "cached";
     constexpr std::uint64_t kShardStride = 16;
     // 40k same-shard inserts comfortably exceeds the 32768 per-shard cap.
     constexpr std::uint64_t kInserts = 40'000;
+    constexpr std::uint64_t kCap = 32'768;
     for (std::uint64_t i = 0; i < kInserts; ++i) {
         cache.insert(i * kShardStride, response);
     }
     const PromptCacheStats stats = cache.stats();
-    EXPECT_EQ(stats.flushes, 1u);
-    EXPECT_LT(stats.entries, kInserts);
-    // Survivors (inserted after the flush) still answer.
+    EXPECT_EQ(stats.entries, kCap);
+    EXPECT_EQ(stats.evictions, kInserts - kCap);
+    // The newest entries still answer.
     EXPECT_TRUE(cache.lookup((kInserts - 1) * kShardStride).has_value());
-    // Flushed entries miss and would be re-inserted, not corrupted.
+    // Dropped entries miss and would be re-inserted, not corrupted.
     EXPECT_FALSE(cache.lookup(0).has_value());
 }
 

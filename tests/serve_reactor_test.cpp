@@ -1,11 +1,10 @@
 // serve::Reactor — the epoll frontend serves the whole catalog over
-// pipelined connections byte-identical to a serial BatchRunner sweep (and
-// to the thread-per-connection reference frontend) at 1 and 4 workers,
-// holds the per-connection response order under 32 concurrent pipelined
-// connections, sheds overload with framed well-typed responses while
-// non-shed results stay bit-identical, refuses over-cap connections with
-// a framed response instead of a silent drop, and drains pipelined
-// requests past the request budget before shutting down.
+// pipelined connections byte-identical to a serial BatchRunner sweep at 1
+// and 4 workers, holds the per-connection response order under 32
+// concurrent pipelined connections, sheds overload with framed well-typed
+// responses while non-shed results stay bit-identical, refuses over-cap
+// connections with a framed response instead of a silent drop, and drains
+// pipelined requests past the request budget before shutting down.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -75,7 +74,6 @@ ServerOptions reactor_options(std::size_t workers) {
     ServerOptions options;
     options.service.workers = workers;
     options.service.knowledge_base = &knowledge_base();
-    options.frontend = Frontend::Reactor;
     return options;
 }
 
@@ -84,7 +82,7 @@ TEST(ServeReactorTest, TransientAcceptErrorsAreExactlyTheFdExhaustionClass) {
     EXPECT_TRUE(is_transient_accept_error(ENFILE));
     EXPECT_TRUE(is_transient_accept_error(ENOBUFS));
     EXPECT_TRUE(is_transient_accept_error(ENOMEM));
-    // Retried immediately by the accept loops, not via backoff:
+    // Retried immediately by the accept loop, not via backoff:
     EXPECT_FALSE(is_transient_accept_error(EINTR));
     EXPECT_FALSE(is_transient_accept_error(ECONNABORTED));
     // Fatal:
@@ -96,8 +94,7 @@ TEST(ServeReactorTest, FullCatalogPipelinedIsByteIdenticalToSerialSweep) {
     // The acceptance property: the reactor serves the whole catalog over
     // one fully pipelined connection (every request written before any
     // response is read), and the rendered results are byte-identical to
-    // the serial sweep at both worker counts — and to the threads
-    // frontend, which is checked through the same serial oracle.
+    // the serial sweep at both worker counts.
     for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
         RepairServer server(reactor_options(workers));
         RepairClient client(server.port());
@@ -126,27 +123,6 @@ TEST(ServeReactorTest, FullCatalogPipelinedIsByteIdenticalToSerialSweep) {
         EXPECT_GE(stats.max_pipeline_depth, 1u);
         server.stop();
     }
-}
-
-TEST(ServeReactorTest, ThreadsFrontendAnswersTheSameBytes) {
-    // The reference oracle path stays alive and equivalent: a slice of the
-    // catalog served by --frontend threads matches the serial renderings.
-    ServerOptions options = reactor_options(/*workers=*/2);
-    options.frontend = Frontend::Threads;
-    RepairServer server(options);
-    RepairClient client(server.port());
-    const std::size_t kCases = 12;
-    ASSERT_GE(corpus().size(), kCases);
-    for (std::size_t i = 0; i < kCases; ++i) {
-        RepairRequest request;
-        request.ub_case = corpus().cases()[i];
-        const RepairResponse response = client.repair(request);
-        ASSERT_TRUE(response.ok) << response.error;
-        EXPECT_EQ(render_case_result(response.result),
-                  serial_renderings().at(corpus().cases()[i].id));
-    }
-    EXPECT_EQ(server.stats().connections_accepted, 1u);
-    server.stop();
 }
 
 TEST(ServeReactorTest, ThirtyTwoConcurrentPipelinedConnections) {

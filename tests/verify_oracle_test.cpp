@@ -5,12 +5,15 @@
 // forge) produces byte-identical results; the cache only changes how fast
 // the answer arrives. Plus: the semantic judge interprets a case's
 // reference fix exactly once per process (counted through a counting
-// oracle double), front-end failures match MiriLite verbatim, and the
-// stats counters behave.
+// oracle double), front-end failures match MiriLite verbatim, the stats
+// counters behave, and a typo'd RUSTBRAIN_* knob fails construction.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -322,6 +325,116 @@ TEST(VerifyOracleTest, DifferentLimitsNeverShareAReport) {
     ASSERT_EQ(limited.findings.size(), 1u);
     EXPECT_EQ(limited.findings.front().message,
               "step limit exceeded (possible infinite loop)");
+}
+
+/// Sets (or, with null, unsets) one env variable for a scope and restores
+/// the previous value after, so the tests below also hold when the whole
+/// binary runs in one process under a CI-wide RUSTBRAIN_* setting.
+class ScopedEnv {
+  public:
+    ScopedEnv(const char* name, const char* value) : name_(name) {
+        if (const char* old = std::getenv(name)) saved_ = old;
+        if (value == nullptr) {
+            ::unsetenv(name);
+        } else {
+            ::setenv(name, value, 1);
+        }
+    }
+    ~ScopedEnv() {
+        if (saved_) {
+            ::setenv(name_, saved_->c_str(), 1);
+        } else {
+            ::unsetenv(name_);
+        }
+    }
+    ScopedEnv(const ScopedEnv&) = delete;
+    ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+  private:
+    const char* name_;
+    std::optional<std::string> saved_;
+};
+
+TEST(OracleEnvTest, TypoedKnobsThrowAtConstructionListingAcceptedValues) {
+    const struct {
+        const char* name;
+        const char* typo;
+        const char* accepted;
+    } knobs[] = {
+        {"RUSTBRAIN_VERIFY_CACHE", "of", "on, off, 1, 0, true, false"},
+        {"RUSTBRAIN_SCREEN", "yes", "on, off, 1, 0, true, false"},
+        {"RUSTBRAIN_VM_OPT", "", "on, off, 1, 0, true, false"},
+        {"RUSTBRAIN_INTERP", "vmm", "tree, slot, vm"},
+    };
+    for (const auto& knob : knobs) {
+        const ScopedEnv env(knob.name, knob.typo);
+        try {
+            const Oracle oracle;
+            ADD_FAILURE() << knob.name << "=" << knob.typo << " was accepted";
+        } catch (const std::invalid_argument& error) {
+            const std::string message = error.what();
+            EXPECT_NE(message.find(knob.name), std::string::npos) << message;
+            EXPECT_NE(message.find("'" + std::string(knob.typo) + "'"),
+                      std::string::npos)
+                << message;
+            EXPECT_NE(message.find(knob.accepted), std::string::npos)
+                << message;
+        }
+    }
+}
+
+TEST(OracleEnvTest, PinnedOptionsNeverReadTheEnv) {
+    const ScopedEnv cache("RUSTBRAIN_VERIFY_CACHE", "of");
+    const ScopedEnv screen("RUSTBRAIN_SCREEN", "of");
+    const ScopedEnv interp("RUSTBRAIN_INTERP", "vmm");
+    const ScopedEnv vm_opt("RUSTBRAIN_VM_OPT", "of");
+    OracleOptions options;
+    options.caching = false;
+    options.screening = false;
+    options.interp = InterpTier::Vm;
+    options.vm_opt = false;
+    const Oracle oracle(options);
+    EXPECT_FALSE(oracle.caching_enabled());
+    EXPECT_FALSE(oracle.screening_enabled());
+    EXPECT_EQ(oracle.interp_tier(), InterpTier::Vm);
+    EXPECT_FALSE(oracle.vm_opt_enabled());
+}
+
+TEST(OracleEnvTest, EveryAcceptedSpellingResolvesAsBefore) {
+    const struct {
+        const char* value;
+        bool on;
+    } spellings[] = {{nullptr, true}, {"on", true},  {"1", true},
+                     {"true", true},  {"off", false}, {"0", false},
+                     {"false", false}};
+    for (const auto& spelling : spellings) {
+        const std::string label =
+            spelling.value == nullptr ? "(unset)" : spelling.value;
+        {
+            const ScopedEnv env("RUSTBRAIN_VERIFY_CACHE", spelling.value);
+            EXPECT_EQ(Oracle().caching_enabled(), spelling.on) << label;
+        }
+        {
+            const ScopedEnv env("RUSTBRAIN_SCREEN", spelling.value);
+            EXPECT_EQ(Oracle().screening_enabled(), spelling.on) << label;
+        }
+        {
+            const ScopedEnv env("RUSTBRAIN_VM_OPT", spelling.value);
+            EXPECT_EQ(Oracle().vm_opt_enabled(), spelling.on) << label;
+        }
+    }
+    const struct {
+        const char* value;
+        InterpTier tier;
+    } tiers[] = {{nullptr, InterpTier::Slot},
+                 {"tree", InterpTier::Tree},
+                 {"slot", InterpTier::Slot},
+                 {"vm", InterpTier::Vm}};
+    for (const auto& tier : tiers) {
+        const ScopedEnv env("RUSTBRAIN_INTERP", tier.value);
+        EXPECT_EQ(Oracle().interp_tier(), tier.tier)
+            << (tier.value == nullptr ? "(unset)" : tier.value);
+    }
 }
 
 }  // namespace

@@ -135,7 +135,6 @@ TEST(VerifyStressTest, ConcurrentPromptCacheKeepsValuesAndCountsEveryLookup) {
     EXPECT_LE(stats.misses, kThreads * kKeys);  // racing cold misses at most
     EXPECT_EQ(stats.entries, kKeys);
     EXPECT_EQ(stats.evictions, 0u);  // default capacity dwarfs the key set
-    EXPECT_EQ(stats.flushes, 0u);
     // Every key is retrievable with its value after the stampede.
     for (std::uint64_t key = 0; key < kKeys; ++key) {
         const auto hit = cache.lookup(key);
