@@ -46,6 +46,7 @@
 #include "serve/service.hpp"
 #include "serve/wire.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 #include "support/table.hpp"
 #include "support/zipf.hpp"
 
@@ -60,7 +61,6 @@ struct ReplayOutcome {
     double prompt_hit_rate = 0.0;
     double report_hit_rate = 0.0;
     std::size_t unique_cases = 0;
-    std::uint64_t steals = 0;
 };
 
 double percentile(std::vector<double> values, double fraction) {
@@ -141,7 +141,6 @@ ReplayOutcome replay(serve::RepairService& service,
                                 before.verify_cache.report_hits) /
             static_cast<double>(report_lookups);
     }
-    outcome.steals = after.scheduler.steals - before.scheduler.steals;
     std::vector<std::size_t> unique(trace);
     std::sort(unique.begin(), unique.end());
     unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
@@ -401,6 +400,23 @@ int deterministic_check(const std::vector<dataset::UbCase>& catalog,
     return 0;
 }
 
+int usage(const char* argv0) {
+    std::printf("usage: %s [--requests N] [--forged N] "
+                "[--engine <id>] [--options k=v,...] "
+                "[--deterministic-only]\n"
+                "          [--open-loop] [--seed N] [--gap-ms X] "
+                "[--burst-every N] [--burst-size N]\n"
+                "          [--connections N] [--max-inflight N] "
+                "[--max-queue-ms X]\n",
+                argv0);
+    return 2;
+}
+
+int bad_value(const char* argv0, const std::string& flag, const char* text) {
+    std::printf("error: bad value '%s' for %s\n\n", text, flag.c_str());
+    return usage(argv0);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -413,12 +429,11 @@ int main(int argc, char** argv) {
     std::string option_spec;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        bool valid = true;
         if (arg == "--requests" && i + 1 < argc) {
-            requests = static_cast<std::size_t>(std::strtoul(argv[++i],
-                                                             nullptr, 10));
+            valid = support::parse_unsigned(argv[++i], requests);
         } else if (arg == "--forged" && i + 1 < argc) {
-            forged = static_cast<std::size_t>(std::strtoul(argv[++i],
-                                                           nullptr, 10));
+            valid = support::parse_unsigned(argv[++i], forged);
         } else if (arg == "--engine" && i + 1 < argc) {
             engine = argv[++i];
         } else if (arg == "--options" && i + 1 < argc) {
@@ -428,34 +443,24 @@ int main(int argc, char** argv) {
         } else if (arg == "--open-loop") {
             open_loop = true;
         } else if (arg == "--seed" && i + 1 < argc) {
-            open_config.seed = std::strtoull(argv[++i], nullptr, 10);
+            valid = support::parse_unsigned(argv[++i], open_config.seed);
         } else if (arg == "--gap-ms" && i + 1 < argc) {
-            open_config.gap_ms = std::strtod(argv[++i], nullptr);
+            valid = support::parse_millis(argv[++i], open_config.gap_ms);
         } else if (arg == "--burst-every" && i + 1 < argc) {
-            open_config.burst_every = static_cast<std::size_t>(
-                std::strtoul(argv[++i], nullptr, 10));
+            valid = support::parse_unsigned(argv[++i], open_config.burst_every);
         } else if (arg == "--burst-size" && i + 1 < argc) {
-            open_config.burst_size = static_cast<std::size_t>(
-                std::strtoul(argv[++i], nullptr, 10));
+            valid = support::parse_unsigned(argv[++i], open_config.burst_size);
         } else if (arg == "--connections" && i + 1 < argc) {
-            open_config.connections = static_cast<std::size_t>(
-                std::strtoul(argv[++i], nullptr, 10));
+            valid = support::parse_unsigned(argv[++i], open_config.connections);
         } else if (arg == "--max-inflight" && i + 1 < argc) {
-            open_config.max_inflight = static_cast<std::size_t>(
-                std::strtoul(argv[++i], nullptr, 10));
+            valid =
+                support::parse_unsigned(argv[++i], open_config.max_inflight);
         } else if (arg == "--max-queue-ms" && i + 1 < argc) {
-            open_config.max_queue_ms = std::strtod(argv[++i], nullptr);
+            valid = support::parse_millis(argv[++i], open_config.max_queue_ms);
         } else {
-            std::printf("usage: %s [--requests N] [--forged N] "
-                        "[--engine <id>] [--options k=v,...] "
-                        "[--deterministic-only]\n"
-                        "          [--open-loop] [--seed N] [--gap-ms X] "
-                        "[--burst-every N] [--burst-size N]\n"
-                        "          [--connections N] [--max-inflight N] "
-                        "[--max-queue-ms X]\n",
-                        argv[0]);
-            return 2;
+            return usage(argv[0]);
         }
+        if (!valid) return bad_value(argv[0], arg, argv[i]);
     }
 
     const std::vector<dataset::UbCase> catalog = build_catalog(forged);
@@ -479,7 +484,7 @@ int main(int argc, char** argv) {
                 requests);
     support::TextTable table({"skew", "unique", "wall ms", "req/s",
                               "p50 ms", "p99 ms", "prompt hits",
-                              "verify hits", "steals"});
+                              "verify hits"});
     for (double skew : {0.0, 0.7, 1.4}) {
         serve::ServiceOptions service_options;
         service_options.knowledge_base = &bench::knowledge_base();
@@ -497,8 +502,7 @@ int main(int argc, char** argv) {
              support::format_double(outcome.p50_ms, 1),
              support::format_double(outcome.p99_ms, 1),
              support::format_double(outcome.prompt_hit_rate, 1) + "%",
-             support::format_double(outcome.report_hit_rate, 1) + "%",
-             std::to_string(outcome.steals)});
+             support::format_double(outcome.report_hit_rate, 1) + "%"});
     }
     std::printf("%s\n", table.render().c_str());
 
@@ -520,15 +524,13 @@ int main(int argc, char** argv) {
                     warm.wall_ms > 0.0 ? cold.wall_ms / warm.wall_ms : 0.0);
         const serve::ServiceStats stats = service.stats();
         std::printf("service: %llu completed, queue p. wait avg %.2f ms "
-                    "(max %.2f), %llu steals across %zu workers\n\n",
+                    "(max %.2f) across %zu workers\n\n",
                     static_cast<unsigned long long>(stats.completed),
                     stats.completed > 0
                         ? stats.queue_ms_total /
                               static_cast<double>(stats.completed)
                         : 0.0,
-                    stats.queue_ms_max,
-                    static_cast<unsigned long long>(stats.scheduler.steals),
-                    service.workers());
+                    stats.queue_ms_max, service.workers());
     }
     return 0;
 }

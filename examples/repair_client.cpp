@@ -11,9 +11,10 @@
 // by id, default is the first case. --dump-result prints the deterministic
 // serve::render_case_result rendering, which is what CI byte-compares
 // against a serial BatchRunner sweep. --bad-request ships a garbage frame
-// and expects a well-formed ok=0 error response back.
+// and expects a well-formed ok=0 error response back. Numeric flags must be
+// whole decimals in range for their field; anything else prints usage and
+// exits 2.
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <string>
 
@@ -23,6 +24,7 @@
 #include "gen/corpus_io.hpp"
 #include "serve/client.hpp"
 #include "serve/wire.hpp"
+#include "support/strings.hpp"
 
 using namespace rustbrain;
 
@@ -40,6 +42,11 @@ int usage(const char* argv0) {
     return 2;
 }
 
+int bad_value(const char* argv0, const std::string& flag, const char* text) {
+    std::printf("error: bad value '%s' for %s\n\n", text, flag.c_str());
+    return usage(argv0);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -55,8 +62,9 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--port" && i + 1 < argc) {
-            port = static_cast<std::uint16_t>(
-                std::strtoul(argv[++i], nullptr, 10));
+            if (!support::parse_unsigned(argv[++i], port)) {
+                return bad_value(argv[0], arg, argv[i]);
+            }
             have_port = true;
         } else if (arg == "--case" && i + 1 < argc) {
             case_id = argv[++i];
@@ -71,11 +79,13 @@ int main(int argc, char** argv) {
         } else if (arg == "--feedback") {
             request.use_feedback = true;
         } else if (arg == "--count" && i + 1 < argc) {
-            count = static_cast<std::size_t>(
-                std::strtoul(argv[++i], nullptr, 10));
+            if (!support::parse_unsigned(argv[++i], count)) {
+                return bad_value(argv[0], arg, argv[i]);
+            }
         } else if (arg == "--pipeline" && i + 1 < argc) {
-            pipeline = static_cast<std::size_t>(
-                std::strtoul(argv[++i], nullptr, 10));
+            if (!support::parse_unsigned(argv[++i], pipeline)) {
+                return bad_value(argv[0], arg, argv[i]);
+            }
         } else if (arg == "--dump-result") {
             dump_result = true;
         } else if (arg == "--bad-request") {

@@ -12,13 +12,9 @@
 // Numeric flags must be whole decimals in range for their field; anything
 // else prints usage and exits 2. The knowledge base is seeded from the
 // standard corpus (or --corpus <file>).
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
-#include <limits>
 #include <string>
 
 #include "core/engine_registry.hpp"
@@ -27,6 +23,7 @@
 #include "gen/corpus_io.hpp"
 #include "kb/seed.hpp"
 #include "serve/server.hpp"
+#include "support/strings.hpp"
 
 using namespace rustbrain;
 
@@ -45,33 +42,6 @@ int usage(const char* argv0) {
     return 2;
 }
 
-/// Parses all of `text` as a decimal in [0, max of T]. Rejects signs,
-/// whitespace, trailing junk and out-of-range values, which strtoul alone
-/// would wrap or truncate.
-template <typename T>
-bool parse_unsigned(const char* text, T& out) {
-    if (*text < '0' || *text > '9') return false;
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (errno != 0 || *end != '\0' || value > std::numeric_limits<T>::max()) {
-        return false;
-    }
-    out = static_cast<T>(value);
-    return true;
-}
-
-/// Parses all of `text` as a finite, non-negative decimal.
-bool parse_millis(const char* text, double& out) {
-    char* end = nullptr;
-    const double value = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !std::isfinite(value) || value < 0.0) {
-        return false;
-    }
-    out = value;
-    return true;
-}
-
 int bad_value(const char* argv0, const std::string& flag, const char* text) {
     std::printf("error: bad value '%s' for %s\n\n", text, flag.c_str());
     return usage(argv0);
@@ -87,13 +57,14 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--port" && i + 1 < argc) {
-            if (!parse_unsigned(argv[++i], options.port)) {
+            if (!support::parse_unsigned(argv[++i], options.port)) {
                 return bad_value(argv[0], arg, argv[i]);
             }
         } else if (arg == "--port-file" && i + 1 < argc) {
             port_file = argv[++i];
         } else if (arg == "--workers" && i + 1 < argc) {
-            if (!parse_unsigned(argv[++i], options.service.workers)) {
+            if (!support::parse_unsigned(argv[++i],
+                                         options.service.workers)) {
                 return bad_value(argv[0], arg, argv[i]);
             }
         } else if (arg == "--engine" && i + 1 < argc) {
@@ -101,21 +72,24 @@ int main(int argc, char** argv) {
         } else if (arg == "--policy" && i + 1 < argc) {
             options.service.default_policy = argv[++i];
         } else if (arg == "--serve-once" && i + 1 < argc) {
-            if (!parse_unsigned(argv[++i], options.max_requests)) {
+            if (!support::parse_unsigned(argv[++i], options.max_requests)) {
                 return bad_value(argv[0], arg, argv[i]);
             }
         } else if (arg == "--corpus" && i + 1 < argc) {
             corpus_path = argv[++i];
         } else if (arg == "--max-inflight" && i + 1 < argc) {
-            if (!parse_unsigned(argv[++i], options.service.max_inflight)) {
+            if (!support::parse_unsigned(argv[++i],
+                                         options.service.max_inflight)) {
                 return bad_value(argv[0], arg, argv[i]);
             }
         } else if (arg == "--max-queue-ms" && i + 1 < argc) {
-            if (!parse_millis(argv[++i], options.service.max_queue_ms)) {
+            if (!support::parse_millis(argv[++i],
+                                       options.service.max_queue_ms)) {
                 return bad_value(argv[0], arg, argv[i]);
             }
         } else if (arg == "--max-connections" && i + 1 < argc) {
-            if (!parse_unsigned(argv[++i], options.max_connections)) {
+            if (!support::parse_unsigned(argv[++i],
+                                         options.max_connections)) {
                 return bad_value(argv[0], arg, argv[i]);
             }
         } else if (arg == "--stats") {
@@ -156,14 +130,12 @@ int main(int argc, char** argv) {
         server.wait();
         const serve::ServiceStats stats = server.service().stats();
         std::printf("repair_server: served %llu requests (%llu repaired, "
-                    "%llu failed), prompt cache %.1f%% hits, "
-                    "%llu scheduler steals\n",
+                    "%llu failed), prompt cache %.1f%% hits\n",
                     static_cast<unsigned long long>(server.requests_served()),
                     static_cast<unsigned long long>(stats.completed -
                                                     stats.failed),
                     static_cast<unsigned long long>(stats.failed),
-                    100.0 * stats.prompt_cache.hit_rate(),
-                    static_cast<unsigned long long>(stats.scheduler.steals));
+                    100.0 * stats.prompt_cache.hit_rate());
         if (print_stats) {
             const serve::ServerStats frontend = server.stats();
             std::printf(

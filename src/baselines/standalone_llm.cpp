@@ -52,12 +52,7 @@ core::CaseResult StandaloneLlmRepair::repair(const dataset::UbCase& ub_case) {
     if (initial.passed()) {
         result.pass = true;
         result.exec = true;
-        result.screens = stats.screens();
-        result.screen_proven_safe = stats.screen_proven_safe();
-        result.screen_likely_ub = stats.screen_likely_ub();
-        result.screen_unknown = stats.screen_unknown();
-        result.time_ms = clock.now_ms();
-        result.time_breakdown = clock.breakdown();
+        core::close_result(result, stats, clock);
         return result;
     }
     const miri::Finding& finding = initial.findings.front();
@@ -146,12 +141,7 @@ core::CaseResult StandaloneLlmRepair::repair(const dataset::UbCase& ub_case) {
     result.escalations = stats.escalations();
     result.early_stops = stats.early_stops();
     result.attempts_skipped = stats.attempts_skipped();
-    result.screens = stats.screens();
-    result.screen_proven_safe = stats.screen_proven_safe();
-    result.screen_likely_ub = stats.screen_likely_ub();
-    result.screen_unknown = stats.screen_unknown();
-    result.time_ms = clock.now_ms();
-    result.time_breakdown = clock.breakdown();
+    core::close_result(result, stats, clock);
     return result;
 }
 

@@ -16,6 +16,7 @@
 
 #include "core/trace.hpp"
 #include "dataset/case.hpp"
+#include "support/sim_clock.hpp"
 
 namespace rustbrain::core {
 
@@ -53,6 +54,19 @@ struct CaseResult {
     std::string winning_rule;
     std::string final_source;
 };
+
+/// The closing step of every engine return path: copies the screen
+/// tallies out of `stats`, then the virtual time and its per-category
+/// breakdown out of `clock`.
+inline void close_result(CaseResult& result, const TraceStats& stats,
+                         const support::SimClock& clock) {
+    result.screens = stats.screens();
+    result.screen_proven_safe = stats.screen_proven_safe();
+    result.screen_likely_ub = stats.screen_likely_ub();
+    result.screen_unknown = stats.screen_unknown();
+    result.time_ms = clock.now_ms();
+    result.time_breakdown = clock.breakdown();
+}
 
 class RepairEngine {
   public:

@@ -81,12 +81,7 @@ CaseResult RustBrain::repair(const dataset::UbCase& ub_case) {
         result.pass = true;
         result.exec = true;
         result.final_source = ub_case.buggy_source;
-        result.screens = stats.screens();
-        result.screen_proven_safe = stats.screen_proven_safe();
-        result.screen_likely_ub = stats.screen_likely_ub();
-        result.screen_unknown = stats.screen_unknown();
-        result.time_ms = clock.now_ms();
-        result.time_breakdown = clock.breakdown();
+        close_result(result, stats, clock);
         return result;
     }
 
@@ -213,12 +208,7 @@ CaseResult RustBrain::repair(const dataset::UbCase& ub_case) {
     result.escalations = stats.escalations();
     result.early_stops = stats.early_stops();
     result.attempts_skipped = stats.attempts_skipped();
-    result.screens = stats.screens();
-    result.screen_proven_safe = stats.screen_proven_safe();
-    result.screen_likely_ub = stats.screen_likely_ub();
-    result.screen_unknown = stats.screen_unknown();
-    result.time_ms = clock.now_ms();
-    result.time_breakdown = clock.breakdown();
+    close_result(result, stats, clock);
     return result;
 }
 

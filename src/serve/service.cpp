@@ -41,13 +41,17 @@ RepairService::RepairService(ServiceOptions options)
     }
     (void)core::EngineRegistry::builtin().build(options_.default_engine,
                                                 probe_options, probe);
-    scheduler_ = std::make_unique<support::WorkStealScheduler>(pool_);
 }
 
 RepairService::~RepairService() {
-    // The scheduler's destructor drains outstanding tasks before the
-    // shared stores below it are torn down.
-    scheduler_.reset();
+    // pool_ is declared before the shared stores, so it is destroyed after
+    // them: drain every queued and running request while they still exist.
+    // An error a job raised outside the repair (a throwing completion
+    // callback or trace sink) has nowhere to go from a destructor.
+    try {
+        pool_.wait_idle();
+    } catch (...) {
+    }
 }
 
 void RepairService::emit(const core::TraceEvent& event) {
@@ -100,14 +104,10 @@ void RepairService::submit_async(RepairRequest request,
         done(std::move(shed_response));
         return;
     }
-    auto shared_request = std::make_shared<RepairRequest>(std::move(request));
-    auto shared_done =
-        std::make_shared<std::function<void(RepairResponse)>>(std::move(done));
-    scheduler_->submit([this, shared_request, shared_done,
-                        submitted_at](std::size_t worker) {
+    pool_.submit([this, request = std::move(request), done = std::move(done),
+                  submitted_at](std::size_t worker) {
         const double queue_ms = elapsed_ms(submitted_at);
-        (*shared_done)(
-            handle(*shared_request, worker, queue_ms, submitted_at));
+        done(handle(request, worker, queue_ms, submitted_at));
     });
 }
 
@@ -132,7 +132,7 @@ std::vector<RepairResponse> RepairService::run_batch(
         futures.push_back(submit(std::move(request)));
     }
     // Ordered merge, exactly as BatchRunner reassembles case-index order:
-    // whatever the steal pattern was, response i is request i.
+    // whichever worker ran it, response i is request i.
     std::vector<RepairResponse> responses;
     responses.reserve(futures.size());
     for (std::future<RepairResponse>& future : futures) {
@@ -241,7 +241,6 @@ ServiceStats RepairService::stats() const {
         stats.queue_ms_p95 = queue_samples_.percentile(0.95);
         stats.queue_ms_p99 = queue_samples_.percentile(0.99);
     }
-    stats.scheduler = scheduler_->stats();
     stats.prompt_cache = prompt_cache_->stats();
     stats.verify_cache = oracle_->stats();
     return stats;

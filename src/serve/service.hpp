@@ -3,8 +3,8 @@
 // Everything else in the repo is a one-shot sweep: build engines, run a
 // corpus, print, exit. The service is the long-lived shape the ROADMAP
 // aims at — requests (source + engine/policy/options) arrive one at a
-// time, fan out across the existing support::ThreadPool via a
-// work-stealing scheduler, and share one verify::Oracle, one
+// time, are queued on the existing support::ThreadPool's shared FIFO
+// queue (oldest request first), and share one verify::Oracle, one
 // llm::PromptCache, and one warm core::FeedbackStore across their whole
 // lifetime. Repeated traffic is the payoff regime: the second request for
 // a hot program answers its verifications and prompts from cache, and
@@ -41,7 +41,6 @@
 #include "llm/caching_backend.hpp"
 #include "support/stats.hpp"
 #include "support/thread_pool.hpp"
-#include "support/work_steal.hpp"
 #include "verify/oracle.hpp"
 
 namespace rustbrain::serve {
@@ -81,7 +80,7 @@ struct RepairResponse {
     /// drained below the breached threshold.
     double retry_after_ms = 0.0;
     core::CaseResult result;  // default-constructed when !ok
-    std::uint64_t worker = 0;  // scheduler worker that ran the repair
+    std::uint64_t worker = 0;  // pool worker that ran the repair
     double queue_ms = 0.0;    // wall time from submit to dequeue
     double service_ms = 0.0;  // wall time from submit to completion
 };
@@ -140,7 +139,6 @@ struct ServiceStats {
     std::uint64_t screen_proven_safe = 0;
     std::uint64_t screen_likely_ub = 0;
     std::uint64_t screen_unknown = 0;
-    support::WorkStealScheduler::Stats scheduler;
     llm::PromptCacheStats prompt_cache;
     verify::VerifyCacheStats verify_cache;
 };
@@ -201,7 +199,6 @@ class RepairService {
     support::ThreadPool pool_;
     std::shared_ptr<const verify::Oracle> oracle_;
     std::shared_ptr<llm::PromptCache> prompt_cache_;
-    std::unique_ptr<support::WorkStealScheduler> scheduler_;
 
     mutable std::mutex feedback_mutex_;
     core::FeedbackStore feedback_;

@@ -1,6 +1,7 @@
 #include "support/strings.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 
 namespace rustbrain::support {
@@ -98,6 +99,16 @@ std::string format_double(double value, int precision) {
     char buffer[64];
     std::snprintf(buffer, sizeof(buffer), "%.*f", precision, value);
     return buffer;
+}
+
+bool parse_millis(const char* text, double& out) {
+    char* end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(value) || value < 0.0) {
+        return false;
+    }
+    out = value;
+    return true;
 }
 
 }  // namespace rustbrain::support

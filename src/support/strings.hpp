@@ -1,6 +1,9 @@
 // Small string helpers used across the toolchain.
 #pragma once
 
+#include <cerrno>
+#include <cstdlib>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,5 +22,25 @@ std::string replace_all(std::string_view text, std::string_view from, std::strin
 std::string indent(std::string_view text, int spaces);
 /// Format a double with fixed precision (locale-independent).
 std::string format_double(double value, int precision);
+
+/// Parses all of `text` as a decimal in [0, max of T]. Rejects signs,
+/// whitespace, trailing junk and out-of-range values, which strtoul alone
+/// would wrap or truncate. `out` is left untouched on failure.
+template <typename T>
+bool parse_unsigned(const char* text, T& out) {
+    if (*text < '0' || *text > '9') return false;
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long value = std::strtoull(text, &end, 10);
+    if (errno != 0 || *end != '\0' || value > std::numeric_limits<T>::max()) {
+        return false;
+    }
+    out = static_cast<T>(value);
+    return true;
+}
+
+/// Parses all of `text` as a finite, non-negative decimal. `out` is left
+/// untouched on failure.
+bool parse_millis(const char* text, double& out);
 
 }  // namespace rustbrain::support

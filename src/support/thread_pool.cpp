@@ -65,10 +65,10 @@ void ThreadPool::worker_loop(std::size_t worker_id) {
     }
 }
 
-void ThreadPool::submit(std::function<void()> job) {
+void ThreadPool::submit(std::function<void(std::size_t worker)> job) {
     {
         const std::lock_guard<std::mutex> lock(mutex_);
-        jobs_.emplace([job = std::move(job)](std::size_t) { job(); });
+        jobs_.push(std::move(job));
     }
     job_ready_.notify_one();
 }

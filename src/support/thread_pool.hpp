@@ -1,7 +1,9 @@
 // Fixed-size worker pool for corpus-scale fan-out.
 //
 // Two usage modes:
-//   * submit(job)            — fire-and-collect individual jobs;
+//   * submit(job)            — run job(worker) once, jobs taken from one
+//     shared queue oldest-first (FIFO); the long-lived repair service
+//     submits every request this way;
 //   * parallel_for(n, body)  — run body(index, worker) for every index in
 //     [0, n), load-balanced over the workers via an atomic cursor. The
 //     worker id is stable for the duration of one parallel_for, so callers
@@ -32,8 +34,10 @@ class ThreadPool {
 
     [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
-    /// Enqueue one job; wait_idle() blocks until all submitted jobs finish.
-    void submit(std::function<void()> job);
+    /// Enqueue one job, run as job(worker) with `worker` in [0, size()).
+    /// Jobs start in submission order. wait_idle() blocks until all
+    /// submitted jobs finish.
+    void submit(std::function<void(std::size_t worker)> job);
 
     /// Block until the queue is empty and every worker is idle, then rethrow
     /// the first exception any job raised (if any).

@@ -6,8 +6,8 @@
 
 #include <stdexcept>
 
-#include "core/batch_runner.hpp"
 #include "core/engine_registry.hpp"
+#include "core/rustbrain.hpp"
 #include "dataset/corpus.hpp"
 #include "kb/seed.hpp"
 
@@ -161,26 +161,6 @@ TEST(EngineRegistryTest, RegistryBuildMatchesDirectConstruction) {
     for (const dataset::UbCase* ub_case :
          corpus().by_category(miri::UbCategory::Alloc)) {
         expect_same_result(direct.repair(*ub_case), built->repair(*ub_case));
-    }
-}
-
-TEST(EngineRegistryTest, BatchRunnerRegistryPathMatchesConfigPath) {
-    const BatchRunner by_config(
-        [] {
-            RustBrainConfig config;
-            config.model = "gpt-4";
-            return config;
-        }(),
-        &seeded_kb(), BatchOptions{2});
-    const BatchRunner by_id("rustbrain", EngineOptions::parse("model=gpt-4"),
-                            kb_context(), BatchOptions{3});
-    const std::vector<const dataset::UbCase*> cases =
-        corpus().by_category(miri::UbCategory::DanglingPointer);
-    const BatchReport a = by_config.run(cases);
-    const BatchReport b = by_id.run(cases);
-    ASSERT_EQ(a.results.size(), b.results.size());
-    for (std::size_t i = 0; i < a.results.size(); ++i) {
-        expect_same_result(a.results[i], b.results[i]);
     }
 }
 

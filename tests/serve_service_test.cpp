@@ -2,11 +2,15 @@
 // exactly what a directly-built registry engine answers, deterministic
 // run_batch is byte-identical to a serial BatchRunner sweep at any worker
 // count, strategy errors come back as ok=false responses, feedback warms
-// across opted-in requests, stats add up, and the loopback socket path
-// round-trips real repairs plus the bad-request error path.
+// across opted-in requests, stats add up, a lone worker serves a backlog
+// oldest-first, destruction finishes every queued request, and the
+// loopback socket path round-trips real repairs plus the bad-request error
+// path.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -14,6 +18,7 @@
 
 #include "core/batch_runner.hpp"
 #include "core/engine_registry.hpp"
+#include "core/trace.hpp"
 #include "dataset/corpus.hpp"
 #include "kb/seed.hpp"
 #include "serve/client.hpp"
@@ -103,7 +108,6 @@ TEST(RepairServiceTest, RunBatchAtFourWorkersIsByteIdenticalToSerialSweep) {
     EXPECT_EQ(stats.submitted, kCases);
     EXPECT_EQ(stats.completed, kCases);
     EXPECT_EQ(stats.failed, 0u);
-    EXPECT_EQ(stats.scheduler.submitted, kCases);
     EXPECT_GE(stats.queue_ms_total, 0.0);
     EXPECT_GE(stats.queue_ms_max, 0.0);
     EXPECT_GE(stats.service_ms_total, stats.queue_ms_total);
@@ -268,6 +272,59 @@ TEST(RepairServiceTest, QueuePercentilesReportedAndStatsStayConsistent) {
     EXPECT_LE(stats.queue_ms_p50, stats.queue_ms_p95);
     EXPECT_LE(stats.queue_ms_p95, stats.queue_ms_p99);
     EXPECT_LE(stats.queue_ms_p99, stats.queue_ms_max);
+}
+
+TEST(RepairServiceTest, OneWorkerServesABacklogOldestFirst) {
+    // Requests are queued FIFO: under a backlog, a lone worker finishes
+    // them in the order they were submitted, never newest-first.
+    const std::size_t kRequests = 12;
+    ASSERT_GE(corpus().size(), kRequests);
+    core::TraceRecorder recorder;
+    ServiceOptions options = service_options(/*workers=*/1);
+    options.trace = &recorder;
+    RepairService service(options);
+    std::vector<std::future<RepairResponse>> futures;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        RepairRequest request;
+        request.ub_case = corpus().cases()[i];
+        futures.push_back(service.submit(std::move(request)));
+    }
+    for (std::future<RepairResponse>& future : futures) {
+        ASSERT_TRUE(future.get().ok);
+    }
+    std::vector<std::string> completed;
+    for (const core::TraceEvent& event : recorder.events()) {
+        if (event.kind == core::TraceEventKind::ServiceComplete) {
+            completed.push_back(event.label);
+        }
+    }
+    std::vector<std::string> submitted;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+        submitted.push_back(corpus().cases()[i].id);
+    }
+    EXPECT_EQ(completed, submitted);
+}
+
+TEST(RepairServiceTest, DestructionFinishesEveryQueuedRequest) {
+    std::vector<std::future<RepairResponse>> futures;
+    {
+        RepairService service(service_options(/*workers=*/1));
+        for (std::size_t i = 0; i < 6; ++i) {
+            RepairRequest request;
+            request.ticket = "q-" + std::to_string(i);
+            request.ub_case = corpus().cases()[i];
+            futures.push_back(service.submit(std::move(request)));
+        }
+    }
+    // The service is gone, and every future it handed out is resolved
+    // with a real answer, not a broken promise.
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+        ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(0)),
+                  std::future_status::ready);
+        const RepairResponse response = futures[i].get();
+        EXPECT_TRUE(response.ok) << response.error;
+        EXPECT_EQ(response.ticket, "q-" + std::to_string(i));
+    }
 }
 
 TEST(RepairServiceTest, MaxInflightShedsSynchronouslyWithRetryAdvice) {

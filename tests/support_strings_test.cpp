@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "support/hashing.hpp"
 #include "support/sim_clock.hpp"
 
@@ -55,6 +57,32 @@ TEST(StringsTest, IndentSkipsEmptyLines) {
 TEST(StringsTest, FormatDouble) {
     EXPECT_EQ(format_double(3.14159, 2), "3.14");
     EXPECT_EQ(format_double(94.3, 1), "94.3");
+}
+
+TEST(StringsTest, ParseUnsignedTakesOnlyWholeInRangeDecimals) {
+    std::uint16_t port = 7;
+    EXPECT_TRUE(parse_unsigned("65535", port));
+    EXPECT_EQ(port, 65535);
+    // Out of range, signed, padded or trailing junk: rejected, never
+    // wrapped or truncated, and the target keeps its value.
+    for (const char* bad : {"65536", "70000", "-1", "+1", " 1", "1 ", "12x",
+                            "", "0x10"}) {
+        EXPECT_FALSE(parse_unsigned(bad, port)) << bad;
+        EXPECT_EQ(port, 65535) << bad;
+    }
+    std::uint64_t wide = 0;
+    EXPECT_TRUE(parse_unsigned("18446744073709551615", wide));
+    EXPECT_FALSE(parse_unsigned("18446744073709551616", wide));
+}
+
+TEST(StringsTest, ParseMillisTakesOnlyFiniteNonNegativeDecimals) {
+    double ms = 1.0;
+    EXPECT_TRUE(parse_millis("2.5", ms));
+    EXPECT_DOUBLE_EQ(ms, 2.5);
+    for (const char* bad : {"-1", "nan", "inf", "", "3ms"}) {
+        EXPECT_FALSE(parse_millis(bad, ms)) << bad;
+        EXPECT_DOUBLE_EQ(ms, 2.5) << bad;
+    }
 }
 
 TEST(HashingTest, Fnv1aStable) {

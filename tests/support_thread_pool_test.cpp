@@ -72,11 +72,29 @@ TEST(ThreadPoolTest, ParallelForZeroCountIsNoop) {
 TEST(ThreadPoolTest, SubmitRunsJobsBeforeWaitIdleReturns) {
     ThreadPool pool(2);
     std::atomic<int> counter{0};
+    std::atomic<bool> worker_out_of_range{false};
     for (int i = 0; i < 32; ++i) {
-        pool.submit([&counter] { counter.fetch_add(1); });
+        pool.submit([&](std::size_t worker) {
+            if (worker >= pool.size()) worker_out_of_range.store(true);
+            counter.fetch_add(1);
+        });
     }
     pool.wait_idle();
     EXPECT_EQ(counter.load(), 32);
+    EXPECT_FALSE(worker_out_of_range.load());
+}
+
+TEST(ThreadPoolTest, SubmittedJobExceptionSurfacesOnceOnWaitIdle) {
+    ThreadPool pool(2);
+    std::atomic<int> survivors{0};
+    pool.submit([](std::size_t) { throw std::runtime_error("boom"); });
+    for (int i = 0; i < 8; ++i) {
+        pool.submit([&](std::size_t) { survivors.fetch_add(1); });
+    }
+    EXPECT_THROW(pool.wait_idle(), std::runtime_error);
+    // Every other job still ran, and the error is consumed by the rethrow.
+    EXPECT_EQ(survivors.load(), 8);
+    pool.wait_idle();
 }
 
 TEST(ThreadPoolTest, ExceptionPropagatesAndPoolStaysUsable) {

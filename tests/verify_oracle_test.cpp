@@ -41,9 +41,12 @@ std::shared_ptr<Oracle> cached_oracle() {
     return std::make_shared<Oracle>(std::move(options));
 }
 
-/// Oracle that recomputes everything (the escape-hatch behavior).
+/// Oracle that recomputes everything (the escape-hatch behavior). Its
+/// store is private too, so the counters it reports are its own and never
+/// those the process-wide store collected from earlier tests.
 std::shared_ptr<Oracle> uncached_oracle() {
     OracleOptions options;
+    options.cache = std::make_shared<VerifyCache>();
     options.caching = false;
     return std::make_shared<Oracle>(std::move(options));
 }
