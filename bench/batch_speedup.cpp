@@ -19,7 +19,6 @@
 // uncached serial baseline: the determinism contract that makes worker
 // count and both caches pure performance knobs.
 #include <cstdio>
-#include <cstdlib>
 #include <cmath>
 #include <exception>
 #include <string>
@@ -30,12 +29,18 @@
 #include "gen/corpus_io.hpp"
 #include "gen/forge.hpp"
 #include "llm/caching_backend.hpp"
+#include "support/strings.hpp"
 #include "support/thread_pool.hpp"
 
 using namespace rustbrain;
 using namespace rustbrain::bench;
 
 namespace {
+
+int usage(const char* argv0) {
+    std::printf("usage: %s [--corpus <file>] [--count N]\n", argv0);
+    return 2;
+}
 
 /// "proven/likely/unknown" verdict-mix cell.
 std::string screen_cell(std::uint64_t proven, std::uint64_t likely,
@@ -81,19 +86,14 @@ int main(int argc, char** argv) {
         if (arg == "--corpus" && i + 1 < argc) {
             corpus_path = argv[++i];
         } else if (arg == "--count" && i + 1 < argc) {
-            const char* text = argv[++i];
-            char* end = nullptr;
-            const unsigned long value = std::strtoul(text, &end, 10);
-            if (end == text || *end != '\0' || value == 0) {
+            if (!support::parse_unsigned(argv[++i], count) || count == 0) {
                 std::printf("error: --count expects a positive number, "
-                            "got '%s'\n",
-                            text);
-                return 2;
+                            "got '%s'\n\n",
+                            argv[i]);
+                return usage(argv[0]);
             }
-            count = static_cast<std::size_t>(value);
         } else {
-            std::printf("usage: %s [--corpus <file>] [--count N]\n", argv[0]);
-            return 2;
+            return usage(argv[0]);
         }
     }
 

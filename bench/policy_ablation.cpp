@@ -22,7 +22,6 @@
 // fast-only shortcuts). `paper` is the reference row — bit-identical to
 // the pre-policy orchestrator by the registry's default contract.
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <string>
@@ -34,6 +33,7 @@
 #include "gen/corpus_io.hpp"
 #include "gen/forge.hpp"
 #include "llm/caching_backend.hpp"
+#include "support/strings.hpp"
 #include "support/thread_pool.hpp"
 
 using namespace rustbrain;
@@ -46,14 +46,6 @@ int usage(const char* argv0) {
                 "[--engine <id>]\n\navailable policies:\n%s",
                 argv0, core::PolicyRegistry::builtin().help().c_str());
     return 2;
-}
-
-bool parse_size(const char* text, std::size_t& out) {
-    char* end = nullptr;
-    const unsigned long value = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0') return false;
-    out = static_cast<std::size_t>(value);
-    return true;
 }
 
 }  // namespace
@@ -70,12 +62,12 @@ int main(int argc, char** argv) {
         } else if (arg == "--engine" && i + 1 < argc) {
             engine_id = argv[++i];
         } else if (arg == "--count" && i + 1 < argc) {
-            if (!parse_size(argv[++i], count) || count == 0) {
+            if (!support::parse_unsigned(argv[++i], count) || count == 0) {
                 std::printf("error: --count expects a positive number\n\n");
                 return usage(argv[0]);
             }
         } else if (arg == "--limit" && i + 1 < argc) {
-            if (!parse_size(argv[++i], limit)) {
+            if (!support::parse_unsigned(argv[++i], limit)) {
                 std::printf("error: --limit expects a number\n\n");
                 return usage(argv[0]);
             }

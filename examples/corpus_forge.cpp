@@ -15,7 +15,6 @@
 // forged corpus is run end to end through core::BatchRunner under every
 // engine in core::EngineRegistry.
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <map>
 #include <stdexcept>
@@ -47,14 +46,6 @@ int usage(const char* argv0) {
     return 2;
 }
 
-bool parse_u64_arg(const char* text, std::uint64_t& out) {
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') return false;
-    out = value;
-    return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -65,20 +56,18 @@ int main(int argc, char** argv) {
     bool sweep = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        std::uint64_t value = 0;
         if (arg == "--seed" && i + 1 < argc) {
-            if (!parse_u64_arg(argv[++i], options.seed)) {
+            if (!support::parse_unsigned(argv[++i], options.seed)) {
                 std::printf("error: --seed expects a number, got '%s'\n\n",
                             argv[i]);
                 return usage(argv[0]);
             }
         } else if (arg == "--count" && i + 1 < argc) {
-            if (!parse_u64_arg(argv[++i], value)) {
+            if (!support::parse_unsigned(argv[++i], options.count)) {
                 std::printf("error: --count expects a number, got '%s'\n\n",
                             argv[i]);
                 return usage(argv[0]);
             }
-            options.count = static_cast<std::size_t>(value);
         } else if (arg == "--generators" && i + 1 < argc) {
             options.generators = support::split(argv[++i], ',');
         } else if (arg == "--gen-options" && i + 1 < argc) {

@@ -20,7 +20,6 @@
 //      count. With --limit N the sweep covers only the first N cases (the
 //      CI smoke slice) and the focused phase is skipped.
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <map>
 #include <optional>
@@ -33,6 +32,7 @@
 #include "dataset/corpus.hpp"
 #include "gen/corpus_io.hpp"
 #include "kb/seed.hpp"
+#include "support/strings.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
 #include "verify/oracle.hpp"
@@ -86,14 +86,11 @@ int main(int argc, char** argv) {
         } else if (arg == "--corpus" && i + 1 < argc) {
             corpus_path = argv[++i];
         } else if (arg == "--limit" && i + 1 < argc) {
-            const char* text = argv[++i];
-            char* end = nullptr;
-            const unsigned long value = std::strtoul(text, &end, 10);
-            if (end == text || *end != '\0') {
-                std::printf("error: --limit expects a number, got '%s'\n\n", text);
+            if (!support::parse_unsigned(argv[++i], limit)) {
+                std::printf("error: --limit expects a number, got '%s'\n\n",
+                            argv[i]);
                 return usage(argv[0]);
             }
-            limit = static_cast<std::size_t>(value);
         } else {
             return usage(argv[0]);
         }

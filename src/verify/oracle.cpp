@@ -1,5 +1,6 @@
 #include "verify/oracle.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
@@ -188,6 +189,13 @@ InterpTier interp_from_env() {
 /// distinct from the FNV offset basis).
 constexpr std::uint64_t kCheckSeed = 0x51ED270B8A2C1495ULL;
 
+/// Steps the slot tier walks before it tiers up to the vm. Runs are bimodal:
+/// over the cold sweep and the forge (~90k runs) none ended between 2^15
+/// and 2^20 steps — nearly all stop under 512, the rest at the 2M step
+/// limit — so short programs never pay for bytecode and a long run wastes
+/// at most this prefix. Not a knob: reports are identical at any value.
+constexpr std::uint64_t kSlotRunBudget = std::uint64_t{1} << 15;
+
 ReportKeyView report_key(const CompiledProgram& compiled,
                          const std::vector<std::vector<std::int64_t>>& input_sets,
                          const miri::InterpLimits& limits) {
@@ -292,6 +300,13 @@ miri::MiriReport Oracle::interpret(
     const std::vector<std::vector<std::int64_t>>& input_sets) const {
     // Mirrors MiriLite::test (the uncached tree-walk reference) run for run,
     // with the front end already paid and the slot-lowered program.
+    const auto run_vm = [&](const std::vector<std::int64_t>& inputs) {
+        return vm::Vm(compiled.program,
+                      vm_opt_ ? compiled.optimized_bytecode()
+                              : compiled.bytecode(),
+                      inputs, limits_)
+            .run();
+    };
     miri::MiriReport report;
     const std::vector<std::vector<std::int64_t>> runs =
         input_sets.empty() ? std::vector<std::vector<std::int64_t>>{{}}
@@ -306,19 +321,24 @@ miri::MiriReport Oracle::interpret(
                 break;
             }
             case InterpTier::Slot: {
-                miri::Interpreter interp(compiled.program, inputs, limits_,
+                // Tier-up: walk at most kSlotRunBudget steps; a run that
+                // outlives them restarts from scratch on the vm, which
+                // reproduces the walk exactly (findings, spans, outputs,
+                // steps), so only long runs ever build bytecode.
+                miri::InterpLimits budget = limits_;
+                budget.max_steps = std::min(limits_.max_steps, kSlotRunBudget);
+                miri::Interpreter interp(compiled.program, inputs, budget,
                                          &compiled.lowering);
                 result = interp.run();
+                if (budget.max_steps < limits_.max_steps &&
+                    result.steps > budget.max_steps) {
+                    result = run_vm(inputs);
+                }
                 break;
             }
-            case InterpTier::Vm: {
-                vm::Vm vm(compiled.program,
-                          vm_opt_ ? compiled.optimized_bytecode()
-                                  : compiled.bytecode(),
-                          inputs, limits_);
-                result = vm.run();
+            case InterpTier::Vm:
+                result = run_vm(inputs);
                 break;
-            }
         }
         report.total_steps += result.steps;
         report.outputs.push_back(std::move(result.output));

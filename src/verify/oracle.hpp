@@ -67,10 +67,13 @@ namespace rustbrain::verify {
 /// counts (asserted corpus-wide in tests/miri_vm_test.cpp and the
 /// differential stress tests) — so the tier is a pure performance knob,
 /// exactly like the caches:
-///   Tree — PR 1's tree walk with name scans (the reference semantics);
-///   Slot — PR 4's slot-lowered tree walk (the long-time default);
-///   Vm   — PR 8's flat bytecode VM (dense instruction arrays over an
-///          explicit value stack; see src/vm/).
+///   Tree — the tree walk with name scans (the reference semantics);
+///   Slot — the default: each run starts on the slot-lowered tree walk
+///          and, once it outlives a fixed step budget (32,768 steps),
+///          restarts from scratch on the vm (DESIGN.md §9 "Tier-up"), so
+///          only long runs ever build bytecode;
+///   Vm   — the flat bytecode VM for every run (dense instruction arrays
+///          over an explicit value stack; see src/vm/).
 enum class InterpTier { Tree, Slot, Vm };
 
 /// "tree" / "slot" / "vm".
@@ -98,10 +101,11 @@ struct CompiledProgram {
 
     [[nodiscard]] bool ok() const { return front_end == FrontEnd::Ok; }
 
-    /// Bytecode for the vm tier, built lazily (thread-safe, exactly once)
-    /// on first use — so tree/slot oracles never pay for it, and the
-    /// compile-once program cache amortizes the bytecode compile across
-    /// every later vm interpretation of this source. Only valid when ok().
+    /// Bytecode for the vm, built lazily (thread-safe, exactly once) on
+    /// first use — so tree oracles never pay for it, slot oracles pay only
+    /// for sources with a run past the slot budget, and the compile-once
+    /// program cache amortizes the bytecode compile across every later vm
+    /// interpretation of this source. Only valid when ok().
     [[nodiscard]] const vm::VmProgram& bytecode() const;
 
     /// vm::optimize(bytecode()) — the superinstruction/register-promotion
@@ -255,13 +259,15 @@ struct OracleOptions {
     /// Screener budget (per-candidate abstract-op cap).
     screen::ScreenOptions screen;
     /// Which interpreter runs uncached work; unset => honour
-    /// RUSTBRAIN_INTERP=tree|slot|vm (unset env means slot). Pure
-    /// performance knob: reports are byte-identical across tiers.
+    /// RUSTBRAIN_INTERP=tree|slot|vm (unset env means slot, which tiers
+    /// up to the vm for long runs). Pure performance knob: reports are
+    /// byte-identical across tiers.
     std::optional<InterpTier> interp;
-    /// Run the vm tier on vm::optimize output (superinstructions +
-    /// register promotion)? Unset => honour RUSTBRAIN_VM_OPT (same
-    /// convention as the cache knob). Ignored by the tree/slot tiers;
-    /// byte-identical either way — a pure performance knob.
+    /// Run the vm on vm::optimize output (superinstructions + register
+    /// promotion)? Unset => honour RUSTBRAIN_VM_OPT (same convention as
+    /// the cache knob). Applies to the vm tier and to the slot tier's
+    /// tiered-up long runs; ignored by the tree tier. Byte-identical
+    /// either way — a pure performance knob.
     std::optional<bool> vm_opt;
 };
 
@@ -335,9 +341,11 @@ class Oracle {
     static const Oracle& shared_default();
 
   protected:
-    /// The uncached unit of work: run the slot-lowered interpreter once per
-    /// input vector. Virtual so tests can count real interpretations
-    /// through a counting double.
+    /// The uncached unit of work: run the selected tier once per input
+    /// vector (under the slot tier, a run past the step budget restarts on
+    /// the vm), merging outputs and de-duplicated findings in input order.
+    /// Virtual so tests can count real interpretations through a counting
+    /// double.
     [[nodiscard]] virtual miri::MiriReport interpret(
         const CompiledProgram& compiled,
         const std::vector<std::vector<std::int64_t>>& input_sets) const;

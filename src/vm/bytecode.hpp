@@ -234,9 +234,9 @@ struct VmProgram {
 [[nodiscard]] VmProgram compile(const lang::Program& program,
                                 const miri::LoweredProgram& lowering);
 
-/// Process-wide counters proving compilation laziness (the tree/slot tiers
-/// must never pay for bytecode) and pass coverage. Monotonic; tests diff
-/// before/after.
+/// Process-wide counters proving compilation laziness (the tree tier never
+/// pays for bytecode, the slot tier only for runs past its step budget) and
+/// pass coverage. Monotonic; tests diff before/after.
 struct CompileStats {
     static std::atomic<std::uint64_t> bytecode_compiles;
     static std::atomic<std::uint64_t> optimize_passes;

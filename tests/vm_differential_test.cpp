@@ -6,7 +6,10 @@
 // pattern). Tier and optimizer are pure performance knobs — if any
 // opcode, fused replay, kill order, or limit check drifted from the tree
 // walk by even one step, some forged case's repair trajectory would
-// diverge and the fingerprints would split.
+// diverge and the fingerprints would split. The slot rows tier up: a run
+// past 32,768 steps finishes on the vm, so their step-limit programs run
+// on bytecode; the slot walk's own step-limit path is pinned by
+// MiriLowerTest.StepLimitExhaustionIsStableOnBothPaths.
 #include <gtest/gtest.h>
 
 #include <cstdlib>

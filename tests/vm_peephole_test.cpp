@@ -4,8 +4,10 @@
 // registers) and observationally (for every fused opcode, findings,
 // outputs, spans, and above all *step counts* are byte-identical to the
 // tree walk and to the unoptimized VM; five forged corpora render
-// bit-identically under RUSTBRAIN_VM_OPT=on and off; and the tree tier
-// never pays for a bytecode compile at all).
+// bit-identically under RUSTBRAIN_VM_OPT=on and off; the tree tier
+// never pays for a bytecode compile at all, and the slot tier pays only
+// for runs past its 32,768-step budget, which restart on the vm and still
+// match the tree walk byte for byte).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -270,6 +272,176 @@ TEST(VmPeepholeTest, TreeTierNeverCompilesBytecode) {
         (void)oracle.test_source(source, {});
     }
     EXPECT_GT(vm::CompileStats::optimize_passes.load(), passes_before);
+}
+
+// --- tier-up: the slot walk restarts runs past its budget on the vm ------
+
+/// Uncached, unscreened slot-tier oracle with vm-opt on: every test_source
+/// call compiles fresh and really interprets, so the bytecode builds it
+/// causes show up in vm::CompileStats.
+std::unique_ptr<verify::Oracle> slot_oracle(miri::InterpLimits limits = {}) {
+    verify::OracleOptions options;
+    options.limits = limits;
+    options.caching = false;
+    options.screening = false;
+    options.interp = verify::InterpTier::Slot;
+    options.vm_opt = true;
+    return std::make_unique<verify::Oracle>(options);
+}
+
+/// Bytecode compiles and optimize passes made while `verify` ran.
+struct Builds {
+    std::uint64_t compiles = 0;
+    std::uint64_t passes = 0;
+};
+template <typename F>
+Builds builds_during(F&& verify) {
+    const std::uint64_t compiles = vm::CompileStats::bytecode_compiles.load();
+    const std::uint64_t passes = vm::CompileStats::optimize_passes.load();
+    verify();
+    return {vm::CompileStats::bytecode_compiles.load() - compiles,
+            vm::CompileStats::optimize_passes.load() - passes};
+}
+
+constexpr const char* kSpinForever = R"(fn main() {
+    while true {
+    }
+}
+)";
+
+TEST(VmPeepholeTest, ShortSlotRunsBuildNoBytecode) {
+    const auto slot = slot_oracle();
+    const Builds builds = builds_during([&] {
+        const miri::MiriReport report =
+            slot->test_source("fn main() { print_int(6 * 7); }", {});
+        EXPECT_EQ(report.outputs.front().front(), "42");
+    });
+    EXPECT_EQ(builds.compiles, 0u);
+    EXPECT_EQ(builds.passes, 0u);
+}
+
+TEST(VmPeepholeTest, AStepLimitUnderTheSlotBudgetBuildsNoBytecode) {
+    miri::InterpLimits limits;
+    limits.max_steps = 500;
+    miri::MiriReport report;
+    const Builds builds = builds_during(
+        [&] { report = slot_oracle(limits)->test_source(kSpinForever, {}); });
+    EXPECT_EQ(builds.compiles, 0u);
+    EXPECT_EQ(builds.passes, 0u);
+    expect_reports_equal(miri::MiriLite(limits).test_source(kSpinForever, {}),
+                         report, "max_steps 500");
+}
+
+TEST(VmPeepholeTest, AStepLimitRunTiersUpOnceAndMatchesTheTreeWalk) {
+    miri::MiriReport report;
+    const Builds builds = builds_during(
+        [&] { report = slot_oracle()->test_source(kSpinForever, {}); });
+    EXPECT_EQ(builds.compiles, 1u);
+    EXPECT_EQ(builds.passes, 1u);
+    const miri::MiriReport tree = miri::MiriLite().test_source(kSpinForever, {});
+    ASSERT_EQ(tree.findings.size(), 1u);
+    EXPECT_EQ(tree.findings.front().message,
+              "step limit exceeded (possible infinite loop)");
+    EXPECT_EQ(tree.total_steps, miri::InterpLimits{}.max_steps + 1);
+    expect_reports_equal(tree, report, "default limits");
+}
+
+TEST(VmPeepholeTest, RunsEndingAtTheSlotBudgetEdgeMatchTheTreeWalk) {
+    // 18 + 8 * input(0) + 13 * input(1) steps, so the inputs below end the
+    // run one step before, at, and one and two steps past the 32,768-step
+    // slot budget. Only the runs past it restart on the vm.
+    const std::string source = R"(fn main() {
+    let n = input(0);
+    let k = input(1);
+    let mut i: i64 = 0;
+    while i < n {
+        i = i + 1;
+    }
+    let mut j: i64 = 0;
+    while j < k {
+        j = j + 1;
+        print_int(i + j);
+    }
+}
+)";
+    const struct {
+        std::int64_t n;
+        std::int64_t k;
+        std::uint64_t steps;
+        std::uint64_t compiles;
+    } edges[] = {{4092, 1, 32767, 0},
+                 {4084, 6, 32768, 0},
+                 {4089, 3, 32769, 1},
+                 {4094, 0, 32770, 1}};
+    const miri::MiriLite tree_walk;
+    const auto slot = slot_oracle();
+    for (const auto& edge : edges) {
+        const std::string label = "ends at step " + std::to_string(edge.steps);
+        const Inputs inputs = {{edge.n, edge.k}};
+        const miri::MiriReport want = tree_walk.test_source(source, inputs);
+        ASSERT_TRUE(want.passed()) << label;
+        ASSERT_EQ(want.total_steps, edge.steps) << label;
+        miri::MiriReport got;
+        const Builds builds =
+            builds_during([&] { got = slot->test_source(source, inputs); });
+        EXPECT_EQ(builds.compiles, edge.compiles) << label;
+        expect_reports_equal(want, got, label);
+    }
+}
+
+TEST(VmPeepholeTest, MixedShortAndStepLimitRunsMatchTheTreeWalk) {
+    // Inputs 1 and 2 spin to the step limit, 0 prints, -3 divides by zero:
+    // the two step-limit findings de-duplicate, and the order of findings
+    // (step limit first, then the panic) must survive the restarts.
+    const std::string source = R"(fn main() {
+    let n = input(0);
+    while n > 0 {
+    }
+    print_int(100 / (n + 3));
+}
+)";
+    const Inputs inputs = {{1}, {0}, {-3}, {2}};
+    const miri::MiriReport want = miri::MiriLite().test_source(source, inputs);
+    ASSERT_EQ(want.findings.size(), 2u);
+    EXPECT_EQ(want.findings[0].message,
+              "step limit exceeded (possible infinite loop)");
+    EXPECT_EQ(want.findings[1].message, "attempt to divide by zero");
+    expect_reports_equal(want, slot_oracle()->test_source(source, inputs),
+                         "mixed inputs");
+}
+
+TEST(VmPeepholeTest, ALongThreadedSlotRunMatchesTheTreeWalk) {
+    // The worker outlives the budget before its write races main's.
+    const std::string source = R"(static mut SHARED: i64 = 0;
+fn worker() {
+    let mut i: i64 = 0;
+    while i < 5000 {
+        i = i + 1;
+    }
+    unsafe {
+        SHARED = i;
+    }
+}
+fn main() {
+    let handle = spawn(worker);
+    unsafe {
+        SHARED = 1;
+    }
+    join(handle);
+    unsafe {
+        print_int(SHARED);
+    }
+}
+)";
+    const miri::MiriReport want = miri::MiriLite().test_source(source, {});
+    ASSERT_EQ(want.findings.size(), 1u);
+    EXPECT_EQ(want.findings.front().category, miri::UbCategory::DataRace);
+    EXPECT_GT(want.total_steps, std::uint64_t{1} << 15);
+    miri::MiriReport got;
+    const Builds builds =
+        builds_during([&] { got = slot_oracle()->test_source(source, {}); });
+    EXPECT_EQ(builds.compiles, 1u);
+    expect_reports_equal(want, got, "spawn/join");
 }
 
 TEST(VmPeepholeTest, FiveForgedCorporaRenderByteIdenticalOptOnVsOff) {
