@@ -364,23 +364,6 @@ void BM_OracleUncached(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleUncached);
 
-void BM_OracleUncachedVm(benchmark::State& state) {
-    // vm-under-oracle, fully uncached: front end + slot lowering +
-    // bytecode compile + VM execution every iteration (the worst case the
-    // compile-once cache exists to avoid).
-    const auto* ub_case = corpus().find("uninit/partial_init_0");
-    verify::OracleOptions options;
-    options.caching = false;
-    options.interp = verify::InterpTier::Vm;
-    const verify::Oracle oracle(std::move(options));
-    for (auto _ : state) {
-        auto report =
-            oracle.test_source(ub_case->reference_fix, ub_case->inputs);
-        benchmark::DoNotOptimize(report);
-    }
-}
-BENCHMARK(BM_OracleUncachedVm);
-
 void BM_OracleMemoized(benchmark::State& state) {
     const auto* ub_case = corpus().find("uninit/partial_init_0");
     verify::OracleOptions options;

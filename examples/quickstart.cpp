@@ -6,7 +6,6 @@
 //   $ ./examples/quickstart --engine rustbrain --options model=gpt-3.5
 //   $ ./examples/quickstart --policy budget,ms=1500
 //   $ ./examples/quickstart --screen off
-//   $ ./examples/quickstart --interp vm              # bytecode-VM tier
 //   $ ./examples/quickstart --corpus forged.rbc --case gen/alloc/leak_s42_0000
 //
 // Walks through the exact pipeline of the paper's Fig. 2 on a classic
@@ -18,7 +17,6 @@
 // first case).
 #include <cstdio>
 #include <exception>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -35,10 +33,9 @@ namespace {
 int usage(const char* argv0) {
     std::printf("usage: %s [--engine <id>] [--options k=v,k=v...]\n"
                 "          [--policy <id>[,k=v...]] [--screen on|off]\n"
-                "          [--interp %s]\n"
                 "          [--corpus <file>] [--case <id>]\n\n"
                 "available engines:\n%s\navailable policies:\n%s",
-                argv0, verify::interp_tier_names().c_str(),
+                argv0,
                 core::EngineRegistry::builtin().help().c_str(),
                 core::PolicyRegistry::builtin().help().c_str());
     return 2;
@@ -86,7 +83,6 @@ int main(int argc, char** argv) {
     std::string corpus_path;
     std::string case_id;
     std::string screen_spec;  // empty = honour RUSTBRAIN_SCREEN (default on)
-    std::optional<verify::InterpTier> interp;  // empty = RUSTBRAIN_INTERP
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--engine" && i + 1 < argc) {
@@ -98,14 +94,6 @@ int main(int argc, char** argv) {
         } else if (arg == "--screen" && i + 1 < argc) {
             screen_spec = argv[++i];
             if (screen_spec != "on" && screen_spec != "off") {
-                return usage(argv[0]);
-            }
-        } else if (arg == "--interp" && i + 1 < argc) {
-            const std::string spec = argv[++i];
-            interp = verify::parse_interp_tier(spec);
-            if (!interp) {
-                std::printf("error: --interp expects one of %s, got '%s'\n\n",
-                            verify::interp_tier_names().c_str(), spec.c_str());
                 return usage(argv[0]);
             }
         } else if (arg == "--corpus" && i + 1 < argc) {
@@ -160,7 +148,6 @@ int main(int argc, char** argv) {
     // still shared. Screening never changes results, only the stats below.
     verify::OracleOptions oracle_options;
     if (!screen_spec.empty()) oracle_options.screening = screen_spec == "on";
-    if (interp) oracle_options.interp = interp;
     std::shared_ptr<verify::Oracle> shared_oracle;
     try {
         shared_oracle =
@@ -171,8 +158,6 @@ int main(int argc, char** argv) {
         return 2;
     }
     const verify::Oracle& oracle = *shared_oracle;
-    std::printf("interpreter tier: %s\n",
-                verify::to_string(oracle.interp_tier()));
     const miri::MiriReport report =
         oracle.test_source(ub_case.buggy_source, ub_case.inputs);
     std::printf("%s\n", report.summary().c_str());

@@ -8,7 +8,6 @@
 //   $ ./examples/repair_campaign --engine rustbrain --limit 3   # smoke slice
 //   $ ./examples/repair_campaign --policy feedback-guided       # switch strategy
 //   $ ./examples/repair_campaign --screen off           # no static pre-screen
-//   $ ./examples/repair_campaign --interp vm            # bytecode-VM tier
 //   $ ./examples/repair_campaign --corpus forged.rbc    # saved/generated corpus
 //
 // Two phases show the two execution shapes BatchRunner supports:
@@ -22,7 +21,6 @@
 #include <cstdio>
 #include <exception>
 #include <map>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -44,9 +42,9 @@ namespace {
 int usage(const char* argv0) {
     std::printf("usage: %s [--engine <id>] [--options k=v,...] [--limit N]\n"
                 "          [--policy <id>[,k=v...]] [--screen on|off]\n"
-                "          [--interp %s] [--corpus <file>]\n\n"
+                "          [--corpus <file>]\n\n"
                 "available engines:\n%s\navailable policies:\n%s",
-                argv0, verify::interp_tier_names().c_str(),
+                argv0,
                 core::EngineRegistry::builtin().help().c_str(),
                 core::PolicyRegistry::builtin().help().c_str());
     return 2;
@@ -60,7 +58,6 @@ int main(int argc, char** argv) {
     std::string policy_spec;  // empty = whatever --options says (or paper)
     std::string corpus_path;  // empty = the standard hand-written corpus
     std::string screen_spec;  // empty = honour RUSTBRAIN_SCREEN (default on)
-    std::optional<verify::InterpTier> interp;  // empty = RUSTBRAIN_INTERP
     std::size_t limit = 0;  // 0 = whole corpus
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -73,14 +70,6 @@ int main(int argc, char** argv) {
         } else if (arg == "--screen" && i + 1 < argc) {
             screen_spec = argv[++i];
             if (screen_spec != "on" && screen_spec != "off") {
-                return usage(argv[0]);
-            }
-        } else if (arg == "--interp" && i + 1 < argc) {
-            const std::string spec = argv[++i];
-            interp = verify::parse_interp_tier(spec);
-            if (!interp) {
-                std::printf("error: --interp expects one of %s, got '%s'\n\n",
-                            verify::interp_tier_names().c_str(), spec.c_str());
                 return usage(argv[0]);
             }
         } else if (arg == "--corpus" && i + 1 < argc) {
@@ -124,7 +113,6 @@ int main(int argc, char** argv) {
     // results, only the stats printed below.
     verify::OracleOptions oracle_options;
     if (!screen_spec.empty()) oracle_options.screening = screen_spec == "on";
-    if (interp) oracle_options.interp = interp;
     const auto oracle =
         std::make_shared<verify::Oracle>(std::move(oracle_options));
     context.oracle = oracle;
@@ -146,10 +134,8 @@ int main(int argc, char** argv) {
         std::printf("error: %s\n\n", error.what());
         return usage(argv[0]);
     }
-    std::printf("engine: %s (%s)\n", engine->name().c_str(),
+    std::printf("engine: %s (%s)\n\n", engine->name().c_str(),
                 engine->config_summary().c_str());
-    std::printf("interpreter tier: %s\n\n",
-                verify::to_string(oracle->interp_tier()));
 
     const std::vector<const dataset::UbCase*> focused =
         corpus.by_category(miri::UbCategory::DanglingPointer);

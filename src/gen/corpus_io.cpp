@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "miri/finding.hpp"
+#include "support/line_reader.hpp"
 
 namespace rustbrain::gen {
 
@@ -42,82 +43,6 @@ bool strategy_from_name(const std::string& name, dataset::FixStrategy& out) {
     }
     return false;
 }
-
-/// Cursor over the serialized text with line-accurate error reporting.
-class Reader {
-  public:
-    explicit Reader(const std::string& text) : text_(text) {}
-
-    [[noreturn]] void fail(const std::string& message) const {
-        throw std::runtime_error("corpus format error (line " +
-                                 std::to_string(line_) + "): " + message);
-    }
-
-    [[nodiscard]] bool at_end() const { return pos_ >= text_.size(); }
-
-    /// Next line without its trailing '\n'. line_ names the line being
-    /// read, so errors raised while processing it point at it.
-    std::string read_line() {
-        ++line_;
-        if (at_end()) fail("unexpected end of input");
-        const std::size_t newline = text_.find('\n', pos_);
-        if (newline == std::string::npos) {
-            fail("missing final newline");
-        }
-        std::string line = text_.substr(pos_, newline - pos_);
-        pos_ = newline + 1;
-        return line;
-    }
-
-    /// A line of the exact form "<key> <payload>"; returns the payload.
-    std::string read_field(const std::string& key) {
-        const std::string line = read_line();
-        if (line == key) return "";
-        if (line.rfind(key + " ", 0) != 0) {
-            fail("expected '" + key + " ...' but found '" + line + "'");
-        }
-        return line.substr(key.size() + 1);
-    }
-
-    std::uint64_t parse_u64(const std::string& text, const char* what) {
-        try {
-            std::size_t consumed = 0;
-            const unsigned long long value = std::stoull(text, &consumed);
-            if (consumed == text.size() && !text.empty() && text[0] != '-') {
-                return value;
-            }
-        } catch (...) {
-        }
-        fail(std::string(what) + " is not an unsigned integer: '" + text + "'");
-    }
-
-    /// Exactly `bytes` raw bytes followed by one '\n'.
-    std::string read_block(std::uint64_t bytes) {
-        // Overflow-safe form of pos_ + bytes + 1 > size(): a corrupt byte
-        // count near UINT64_MAX must fail here, not wrap and "fit".
-        const std::uint64_t remaining = text_.size() - pos_;
-        if (remaining == 0 || bytes >= remaining) {
-            fail("source block runs past end of input");
-        }
-        std::string block = text_.substr(pos_, bytes);
-        pos_ += bytes;
-        if (text_[pos_] != '\n') {
-            fail("source block is not terminated by a newline "
-                 "(byte count is wrong)");
-        }
-        ++pos_;
-        for (char c : block) {
-            if (c == '\n') ++line_;
-        }
-        ++line_;
-        return block;
-    }
-
-  private:
-    const std::string& text_;
-    std::size_t pos_ = 0;
-    std::size_t line_ = 0;  // the line currently being processed (1-based)
-};
 
 }  // namespace
 
@@ -159,7 +84,7 @@ std::string corpus_to_string(const dataset::Corpus& corpus) {
 }
 
 dataset::Corpus corpus_from_string(const std::string& text) {
-    Reader reader(text);
+    support::LineReader reader(text, "corpus format error");
 
     const std::string header = reader.read_line();
     const std::string expected_header =
@@ -202,8 +127,8 @@ dataset::Corpus corpus_from_string(const std::string& text) {
         if (!strategy_from_name(strategy, c.intended_strategy)) {
             reader.fail("unknown strategy '" + strategy + "' in case " + c.id);
         }
-        c.difficulty = static_cast<int>(
-            reader.parse_u64(reader.read_field("difficulty"), "difficulty"));
+        c.difficulty =
+            reader.parse_int(reader.read_field("difficulty"), "difficulty");
         if (c.difficulty < 1 || c.difficulty > 3) {
             reader.fail("difficulty out of range in case " + c.id);
         }
@@ -211,33 +136,15 @@ dataset::Corpus corpus_from_string(const std::string& text) {
         const std::uint64_t input_count =
             reader.parse_u64(reader.read_field("inputs"), "input count");
         for (std::uint64_t i = 0; i < input_count; ++i) {
-            std::istringstream line(reader.read_field("input"));
-            std::uint64_t length = 0;
-            if (!(line >> length)) {
-                reader.fail("malformed input vector in case " + c.id);
-            }
             std::vector<std::int64_t> values;
-            values.reserve(length);
-            for (std::uint64_t v = 0; v < length; ++v) {
-                std::int64_t value = 0;
-                if (!(line >> value)) {
-                    reader.fail("input vector shorter than declared in case " +
-                                c.id);
-                }
-                values.push_back(value);
-            }
-            std::string trailing;
-            if (line >> trailing) {
-                reader.fail("input vector longer than declared in case " +
-                            c.id);
+            for (const std::string& word : reader.read_list("input")) {
+                values.push_back(reader.parse_i64(word, "input value"));
             }
             c.inputs.push_back(std::move(values));
         }
 
-        c.buggy_source = reader.read_block(
-            reader.parse_u64(reader.read_field("buggy"), "buggy byte count"));
-        c.reference_fix = reader.read_block(
-            reader.parse_u64(reader.read_field("fix"), "fix byte count"));
+        c.buggy_source = reader.read_block("buggy");
+        c.reference_fix = reader.read_block("fix");
         if (reader.read_line() != "end") {
             reader.fail("expected 'end' after case " + c.id);
         }

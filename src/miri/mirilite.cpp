@@ -1,7 +1,5 @@
 #include "miri/mirilite.hpp"
 
-#include <set>
-
 #include "lang/parser.hpp"
 #include "lang/typecheck.hpp"
 
@@ -41,21 +39,9 @@ MiriReport MiriLite::test(const lang::Program& program,
         return report;
     }
 
-    const std::vector<std::vector<std::int64_t>> runs =
-        input_sets.empty() ? std::vector<std::vector<std::int64_t>>{{}}
-                           : input_sets;
-
-    std::set<std::string> seen;
-    for (const auto& inputs : runs) {
-        Interpreter interp(checked, inputs, limits_);
-        RunResult result = interp.run();
-        report.total_steps += result.steps;
-        report.outputs.push_back(std::move(result.output));
-        if (result.finding && seen.insert(result.finding->key()).second) {
-            report.findings.push_back(*result.finding);
-        }
-    }
-    return report;
+    return merge_runs(input_sets, [&](const std::vector<std::int64_t>& inputs) {
+        return Interpreter(checked, inputs, limits_).run();
+    });
 }
 
 MiriReport MiriLite::test_source(

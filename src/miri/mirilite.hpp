@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lang/ast.hpp"
@@ -30,6 +32,28 @@ struct MiriReport {
     [[nodiscard]] bool has_category(UbCategory category) const;
     [[nodiscard]] std::string summary() const;
 };
+
+/// The per-input driver every interpreter front shares (MiriLite, the
+/// Oracle's tiers, test doubles): call `run` (inputs -> RunResult) once per
+/// input vector — once with no inputs when `input_sets` is empty — and
+/// merge in input order: steps summed, one output per run, findings
+/// de-duplicated by Finding::key() in first-seen order.
+template <typename Run>
+[[nodiscard]] MiriReport merge_runs(
+    const std::vector<std::vector<std::int64_t>>& input_sets, Run&& run) {
+    static const std::vector<std::vector<std::int64_t>> kNoInputs{{}};
+    MiriReport report;
+    std::set<std::string> seen;
+    for (const auto& inputs : input_sets.empty() ? kNoInputs : input_sets) {
+        RunResult result = run(inputs);
+        report.total_steps += result.steps;
+        report.outputs.push_back(std::move(result.output));
+        if (result.finding && seen.insert(result.finding->key()).second) {
+            report.findings.push_back(std::move(*result.finding));
+        }
+    }
+    return report;
+}
 
 class MiriLite {
   public:

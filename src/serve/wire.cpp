@@ -3,9 +3,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
@@ -14,6 +14,7 @@
 
 #include "dataset/corpus.hpp"
 #include "gen/corpus_io.hpp"
+#include "support/line_reader.hpp"
 
 namespace rustbrain::serve {
 
@@ -38,117 +39,37 @@ void write_block(std::ostringstream& out, const char* key,
     out << key << ' ' << payload.size() << '\n' << payload << '\n';
 }
 
-/// Cursor over a payload with line-accurate error reporting — the
-/// corpus_io Reader shape, shared by every parse_* below.
-class Reader {
-  public:
-    explicit Reader(const std::string& text) : text_(text) {}
+using Reader = support::LineReader;
 
-    [[noreturn]] void fail(const std::string& message) const {
-        throw std::runtime_error("wire format error (line " +
-                                 std::to_string(line_) + "): " + message);
+const char* kFormatError = "wire format error";
+
+void check_header(Reader& reader, const char* magic) {
+    const std::string header = reader.read_line();
+    const std::string expected =
+        std::string(magic) + " v" + std::to_string(kWireFormatVersion);
+    if (header != expected) {
+        reader.fail("expected '" + expected + "' but found '" + header + "'");
     }
+}
 
-    [[nodiscard]] bool at_end() const { return pos_ >= text_.size(); }
+void expect_end(Reader& reader) {
+    if (reader.read_line() != "end") reader.fail("expected 'end'");
+    if (!reader.at_end()) reader.fail("trailing content after 'end'");
+}
 
-    std::string read_line() {
-        ++line_;
-        if (at_end()) fail("unexpected end of input");
-        const std::size_t newline = text_.find('\n', pos_);
-        if (newline == std::string::npos) fail("missing final newline");
-        std::string line = text_.substr(pos_, newline - pos_);
-        pos_ = newline + 1;
-        return line;
+/// A line of exactly `N` canonical unsigned integers after `key`.
+template <std::size_t N>
+std::array<int, N> read_ints(Reader& reader, const char* key) {
+    const std::vector<std::string> words = reader.read_words(key);
+    if (words.size() != N) {
+        reader.fail(std::string("malformed ") + key + " line");
     }
-
-    std::string read_field(const std::string& key) {
-        const std::string line = read_line();
-        if (line == key) return "";
-        if (line.rfind(key + " ", 0) != 0) {
-            fail("expected '" + key + " ...' but found '" + line + "'");
-        }
-        return line.substr(key.size() + 1);
+    std::array<int, N> values{};
+    for (std::size_t i = 0; i < N; ++i) {
+        values[i] = reader.parse_int(words[i], key);
     }
-
-    std::uint64_t parse_u64(const std::string& text, const char* what) {
-        // All-digits only: stoull alone would also accept leading
-        // whitespace and '+'/'-' signs, which are not canonical wire form.
-        bool digits = !text.empty();
-        for (const char c : text) {
-            if (c < '0' || c > '9') {
-                digits = false;
-                break;
-            }
-        }
-        if (digits) {
-            try {
-                return std::stoull(text);
-            } catch (...) {  // out of range
-            }
-        }
-        fail(std::string(what) + " is not an unsigned integer: '" + text +
-             "'");
-    }
-
-    double parse_double(const std::string& text, const char* what) {
-        const char* begin = text.c_str();
-        char* end = nullptr;
-        const double value = std::strtod(begin, &end);
-        if (end != begin + text.size() || text.empty()) {
-            fail(std::string(what) + " is not a number: '" + text + "'");
-        }
-        return value;
-    }
-
-    bool parse_bool(const std::string& text, const char* what) {
-        if (text == "1") return true;
-        if (text == "0") return false;
-        fail(std::string(what) + " must be 0 or 1, got '" + text + "'");
-    }
-
-    /// Exactly `bytes` raw bytes followed by one '\n'.
-    std::string read_block_body(std::uint64_t bytes) {
-        const std::uint64_t remaining = text_.size() - pos_;
-        if (remaining == 0 || bytes >= remaining) {
-            fail("block runs past end of input");
-        }
-        std::string block = text_.substr(pos_, bytes);
-        pos_ += bytes;
-        if (text_[pos_] != '\n') {
-            fail("block is not terminated by a newline (byte count is "
-                 "wrong)");
-        }
-        ++pos_;
-        for (char c : block) {
-            if (c == '\n') ++line_;
-        }
-        ++line_;
-        return block;
-    }
-
-    std::string read_block(const char* key) {
-        return read_block_body(parse_u64(read_field(key), key));
-    }
-
-    void expect_end() {
-        if (read_line() != "end") fail("expected 'end'");
-        if (!at_end()) fail("trailing content after 'end'");
-    }
-
-    void check_header(const char* magic) {
-        const std::string header = read_line();
-        const std::string expected =
-            std::string(magic) + " v" + std::to_string(kWireFormatVersion);
-        if (header != expected) {
-            fail("expected '" + expected + "' but found '" + header + "'");
-        }
-    }
-
-  private:
-    const std::string& text_;
-    std::size_t pos_ = 0;
-    std::size_t line_ = 0;
-};
+    return values;
+}
 
 void header(std::ostringstream& out, const char* magic) {
     out << magic << " v" << kWireFormatVersion << '\n';
@@ -208,8 +129,8 @@ std::string render_case_result(const core::CaseResult& result) {
 }
 
 core::CaseResult parse_case_result(const std::string& text) {
-    Reader reader(text);
-    reader.check_header(kResultMagic);
+    Reader reader(text, kFormatError);
+    check_header(reader, kResultMagic);
     core::CaseResult result;
     result.case_id = reader.read_block("case_id");
     result.pass = reader.parse_bool(reader.read_field("pass"), "pass");
@@ -219,57 +140,42 @@ core::CaseResult parse_case_result(const std::string& text) {
     const std::uint64_t breakdown =
         reader.parse_u64(reader.read_field("breakdown"), "breakdown count");
     for (std::uint64_t i = 0; i < breakdown; ++i) {
-        std::istringstream line(reader.read_field("charge"));
-        std::string value_text;
-        std::uint64_t bytes = 0;
-        if (!(line >> value_text >> bytes)) {
-            reader.fail("malformed charge line");
-        }
-        const double charge = reader.parse_double(value_text, "charge");
-        const std::string category = reader.read_block_body(bytes);
+        const std::vector<std::string> words = reader.read_words("charge");
+        if (words.size() != 2) reader.fail("malformed charge line");
+        const double charge = reader.parse_double(words[0], "charge");
+        const std::string category = reader.read_block_body(
+            reader.parse_u64(words[1], "charge byte count"));
         result.time_breakdown[category] = charge;
     }
-    result.solutions_generated = static_cast<int>(
-        reader.parse_u64(reader.read_field("solutions"), "solutions"));
-    result.steps_executed = static_cast<int>(
-        reader.parse_u64(reader.read_field("steps"), "steps"));
-    result.rollbacks = static_cast<int>(
-        reader.parse_u64(reader.read_field("rollbacks"), "rollbacks"));
+    result.solutions_generated =
+        reader.parse_int(reader.read_field("solutions"), "solutions");
+    result.steps_executed =
+        reader.parse_int(reader.read_field("steps"), "steps");
+    result.rollbacks =
+        reader.parse_int(reader.read_field("rollbacks"), "rollbacks");
     result.llm_calls =
         reader.parse_u64(reader.read_field("llm_calls"), "llm_calls");
     result.kb_consulted =
         reader.parse_bool(reader.read_field("kb_consulted"), "kb_consulted");
     result.kb_skipped_by_feedback =
         reader.parse_bool(reader.read_field("kb_skipped"), "kb_skipped");
-    {
-        std::istringstream line(reader.read_field("thinking"));
-        if (!(line >> result.thinking_switches >> result.escalations >>
-              result.early_stops >> result.attempts_skipped)) {
-            reader.fail("malformed thinking line");
-        }
-    }
-    {
-        std::istringstream line(reader.read_field("screens"));
-        if (!(line >> result.screens >> result.screen_proven_safe >>
-              result.screen_likely_ub >> result.screen_unknown)) {
-            reader.fail("malformed screens line");
-        }
-    }
-    {
-        std::istringstream line(reader.read_field("trajectory"));
-        std::uint64_t length = 0;
-        if (!(line >> length)) reader.fail("malformed trajectory line");
-        for (std::uint64_t i = 0; i < length; ++i) {
-            std::size_t errors = 0;
-            if (!(line >> errors)) {
-                reader.fail("trajectory shorter than declared");
-            }
-            result.error_trajectory.push_back(errors);
-        }
+    const std::array<int, 4> thinking = read_ints<4>(reader, "thinking");
+    result.thinking_switches = thinking[0];
+    result.escalations = thinking[1];
+    result.early_stops = thinking[2];
+    result.attempts_skipped = thinking[3];
+    const std::array<int, 4> screens = read_ints<4>(reader, "screens");
+    result.screens = screens[0];
+    result.screen_proven_safe = screens[1];
+    result.screen_likely_ub = screens[2];
+    result.screen_unknown = screens[3];
+    for (const std::string& word : reader.read_list("trajectory")) {
+        result.error_trajectory.push_back(
+            reader.parse_u64(word, "trajectory entry"));
     }
     result.winning_rule = reader.read_block("winning_rule");
     result.final_source = reader.read_block("final_source");
-    reader.expect_end();
+    expect_end(reader);
     return result;
 }
 
@@ -291,8 +197,8 @@ std::string render_request(const RepairRequest& request) {
 }
 
 RepairRequest parse_request(const std::string& text) {
-    Reader reader(text);
-    reader.check_header(kRequestMagic);
+    Reader reader(text, kFormatError);
+    check_header(reader, kRequestMagic);
     RepairRequest request;
     request.ticket = reader.read_block("ticket");
     request.engine = reader.read_block("engine");
@@ -313,7 +219,7 @@ RepairRequest parse_request(const std::string& text) {
                     std::to_string(corpus.size()));
     }
     request.ub_case = corpus.cases().front();
-    reader.expect_end();
+    expect_end(reader);
     return request;
 }
 
@@ -334,8 +240,8 @@ std::string render_response(const RepairResponse& response) {
 }
 
 RepairResponse parse_response(const std::string& text) {
-    Reader reader(text);
-    reader.check_header(kResponseMagic);
+    Reader reader(text, kFormatError);
+    check_header(reader, kResponseMagic);
     RepairResponse response;
     response.ticket = reader.read_block("ticket");
     response.ok = reader.parse_bool(reader.read_field("ok"), "ok");
@@ -355,7 +261,7 @@ RepairResponse parse_response(const std::string& text) {
         reader.fail(std::string("embedded result does not parse: ") +
                     error.what());
     }
-    reader.expect_end();
+    expect_end(reader);
     return response;
 }
 

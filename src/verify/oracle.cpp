@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -19,32 +18,23 @@ namespace rustbrain::verify {
 // ---------------------------------------------------------------------------
 
 const char* to_string(InterpTier tier) {
-    switch (tier) {
-        case InterpTier::Tree: return "tree";
-        case InterpTier::Slot: return "slot";
-        case InterpTier::Vm: return "vm";
-    }
-    return "slot";
+    return tier == InterpTier::Tree ? "tree" : "slot";
 }
 
-std::optional<InterpTier> parse_interp_tier(const std::string& name) {
-    if (name == "tree") return InterpTier::Tree;
-    if (name == "slot") return InterpTier::Slot;
-    if (name == "vm") return InterpTier::Vm;
-    return std::nullopt;
+void CompiledProgram::build_bytecode() const {
+    std::call_once(vm_once_, [this] {
+        vm_code_ = vm::compile(program, lowering);
+        opt_code_ = vm::optimize(vm_code_);
+    });
 }
-
-std::string interp_tier_names() { return "tree, slot, vm"; }
 
 const vm::VmProgram& CompiledProgram::bytecode() const {
-    std::call_once(vm_once_,
-                   [this] { vm_code_ = vm::compile(program, lowering); });
+    build_bytecode();
     return vm_code_;
 }
 
 const vm::VmProgram& CompiledProgram::optimized_bytecode() const {
-    std::call_once(opt_once_,
-                   [this] { opt_code_ = vm::optimize(bytecode()); });
+    build_bytecode();
     return opt_code_;
 }
 
@@ -176,15 +166,6 @@ bool switch_from_env(const char* name) {
     reject_env(name, text, "on, off, 1, 0, true, false");
 }
 
-/// RUSTBRAIN_INTERP; unset means slot.
-InterpTier interp_from_env() {
-    const char* value = std::getenv("RUSTBRAIN_INTERP");
-    if (value == nullptr) return InterpTier::Slot;
-    const std::optional<InterpTier> tier = parse_interp_tier(value);
-    if (!tier) reject_env("RUSTBRAIN_INTERP", value, interp_tier_names());
-    return *tier;
-}
-
 /// Seed for the independent second source hash (an arbitrary odd constant
 /// distinct from the FNV offset basis).
 constexpr std::uint64_t kCheckSeed = 0x51ED270B8A2C1495ULL;
@@ -229,9 +210,7 @@ Oracle::Oracle(OracleOptions options)
                                : switch_from_env("RUSTBRAIN_VERIFY_CACHE")),
       screening_(options.screening ? *options.screening
                                    : switch_from_env("RUSTBRAIN_SCREEN")),
-      interp_(options.interp ? *options.interp : interp_from_env()),
-      vm_opt_(options.vm_opt ? *options.vm_opt
-                             : switch_from_env("RUSTBRAIN_VM_OPT")),
+      interp_(options.interp),
       screen_options_(options.screen) {}
 
 const Oracle& Oracle::shared_default() {
@@ -300,53 +279,29 @@ miri::MiriReport Oracle::interpret(
     const std::vector<std::vector<std::int64_t>>& input_sets) const {
     // Mirrors MiriLite::test (the uncached tree-walk reference) run for run,
     // with the front end already paid and the slot-lowered program.
-    const auto run_vm = [&](const std::vector<std::int64_t>& inputs) {
-        return vm::Vm(compiled.program,
-                      vm_opt_ ? compiled.optimized_bytecode()
-                              : compiled.bytecode(),
-                      inputs, limits_)
-            .run();
-    };
-    miri::MiriReport report;
-    const std::vector<std::vector<std::int64_t>> runs =
-        input_sets.empty() ? std::vector<std::vector<std::int64_t>>{{}}
-                           : input_sets;
-    std::set<std::string> seen;
-    for (const auto& inputs : runs) {
-        miri::RunResult result;
-        switch (interp_) {
-            case InterpTier::Tree: {
-                miri::Interpreter interp(compiled.program, inputs, limits_);
-                result = interp.run();
-                break;
-            }
-            case InterpTier::Slot: {
-                // Tier-up: walk at most kSlotRunBudget steps; a run that
-                // outlives them restarts from scratch on the vm, which
-                // reproduces the walk exactly (findings, spans, outputs,
-                // steps), so only long runs ever build bytecode.
-                miri::InterpLimits budget = limits_;
-                budget.max_steps = std::min(limits_.max_steps, kSlotRunBudget);
-                miri::Interpreter interp(compiled.program, inputs, budget,
-                                         &compiled.lowering);
-                result = interp.run();
-                if (budget.max_steps < limits_.max_steps &&
-                    result.steps > budget.max_steps) {
-                    result = run_vm(inputs);
-                }
-                break;
-            }
-            case InterpTier::Vm:
-                result = run_vm(inputs);
-                break;
+    return miri::merge_runs(input_sets, [&](const std::vector<std::int64_t>&
+                                                inputs) {
+        if (interp_ == InterpTier::Tree) {
+            return miri::Interpreter(compiled.program, inputs, limits_).run();
         }
-        report.total_steps += result.steps;
-        report.outputs.push_back(std::move(result.output));
-        if (result.finding && seen.insert(result.finding->key()).second) {
-            report.findings.push_back(*result.finding);
+        // Tier-up: walk at most kSlotRunBudget steps; a run that outlives
+        // them restarts from scratch on the vm, which reproduces the walk
+        // exactly (findings, spans, outputs, steps), so only long runs ever
+        // build bytecode.
+        miri::InterpLimits budget = limits_;
+        budget.max_steps = std::min(limits_.max_steps, kSlotRunBudget);
+        miri::RunResult result =
+            miri::Interpreter(compiled.program, inputs, budget,
+                              &compiled.lowering)
+                .run();
+        if (budget.max_steps < limits_.max_steps &&
+            result.steps > budget.max_steps) {
+            result = vm::Vm(compiled.program, compiled.optimized_bytecode(),
+                            inputs, limits_)
+                         .run();
         }
-    }
-    return report;
+        return result;
+    });
 }
 
 miri::MiriReport Oracle::screen_or_interpret(

@@ -62,27 +62,20 @@
 
 namespace rustbrain::verify {
 
-/// Which interpreter executes uncached runs. All three tiers are
+/// Which interpreter executes uncached runs. Both tiers are
 /// observationally identical — byte-equal findings, outputs, and step
 /// counts (asserted corpus-wide in tests/miri_vm_test.cpp and the
-/// differential stress tests) — so the tier is a pure performance knob,
-/// exactly like the caches:
+/// differential stress tests):
 ///   Tree — the tree walk with name scans (the reference semantics);
-///   Slot — the default: each run starts on the slot-lowered tree walk
-///          and, once it outlives a fixed step budget (32,768 steps),
-///          restarts from scratch on the vm (DESIGN.md §9 "Tier-up"), so
-///          only long runs ever build bytecode;
-///   Vm   — the flat bytecode VM for every run (dense instruction arrays
-///          over an explicit value stack; see src/vm/).
-enum class InterpTier { Tree, Slot, Vm };
+///   Slot — the production path and the default: each run starts on the
+///          slot-lowered tree walk and, once it outlives a fixed step
+///          budget (32,768 steps), restarts from scratch on the vm over
+///          optimized bytecode (DESIGN.md §9 "Tier-up"), so only long runs
+///          ever build bytecode.
+enum class InterpTier { Tree, Slot };
 
-/// "tree" / "slot" / "vm".
+/// "tree" / "slot".
 [[nodiscard]] const char* to_string(InterpTier tier);
-/// Parses the names above; nullopt for anything else.
-[[nodiscard]] std::optional<InterpTier> parse_interp_tier(
-    const std::string& name);
-/// "tree, slot, vm" — for error messages listing the valid set.
-[[nodiscard]] std::string interp_tier_names();
 
 /// A source text after the front end: parsed, typechecked and slot-lowered
 /// (when ok()), or the verbatim parse/typecheck error MiriLite would have
@@ -101,24 +94,22 @@ struct CompiledProgram {
 
     [[nodiscard]] bool ok() const { return front_end == FrontEnd::Ok; }
 
-    /// Bytecode for the vm, built lazily (thread-safe, exactly once) on
-    /// first use — so tree oracles never pay for it, slot oracles pay only
-    /// for sources with a run past the slot budget, and the compile-once
-    /// program cache amortizes the bytecode compile across every later vm
-    /// interpretation of this source. Only valid when ok().
+    /// Bytecode for the vm, and vm::optimize of it (the superinstruction /
+    /// register-promotion program the slot tier's long runs execute). Both
+    /// are built together, lazily and exactly once (thread-safe), on first
+    /// use — so tree oracles and short slot runs never pay for them, and
+    /// the compile-once program cache amortizes the build across every
+    /// later long run of this source. The optimized program aliases the
+    /// plain one's interned storage, which this object owns alongside it.
+    /// Only valid when ok().
     [[nodiscard]] const vm::VmProgram& bytecode() const;
-
-    /// vm::optimize(bytecode()) — the superinstruction/register-promotion
-    /// tier — with the same lazy, exactly-once contract stacked on top:
-    /// plain-vm oracles never pay for the pass, and the optimized program
-    /// is derived at most once per compiled source. The result aliases
-    /// bytecode()'s interned storage, which this object owns alongside it.
     [[nodiscard]] const vm::VmProgram& optimized_bytecode() const;
 
   private:
+    void build_bytecode() const;
+
     mutable std::once_flag vm_once_;
     mutable vm::VmProgram vm_code_;
-    mutable std::once_flag opt_once_;
     mutable vm::VmProgram opt_code_;
 };
 
@@ -258,17 +249,9 @@ struct OracleOptions {
     std::optional<bool> screening;
     /// Screener budget (per-candidate abstract-op cap).
     screen::ScreenOptions screen;
-    /// Which interpreter runs uncached work; unset => honour
-    /// RUSTBRAIN_INTERP=tree|slot|vm (unset env means slot, which tiers
-    /// up to the vm for long runs). Pure performance knob: reports are
-    /// byte-identical across tiers.
-    std::optional<InterpTier> interp;
-    /// Run the vm on vm::optimize output (superinstructions + register
-    /// promotion)? Unset => honour RUSTBRAIN_VM_OPT (same convention as
-    /// the cache knob). Applies to the vm tier and to the slot tier's
-    /// tiered-up long runs; ignored by the tree tier. Byte-identical
-    /// either way — a pure performance knob.
-    std::optional<bool> vm_opt;
+    /// Which interpreter runs uncached work: Slot (the default) or the
+    /// Tree reference. Reports are byte-identical across tiers.
+    InterpTier interp = InterpTier::Slot;
 };
 
 /// Counters for the Oracle's screening tier (process- or oracle-lifetime,
@@ -301,7 +284,7 @@ class Oracle {
   public:
     /// Throws std::invalid_argument, naming the variable and listing the
     /// accepted values, when an env knob it honours (RUSTBRAIN_VERIFY_CACHE,
-    /// _SCREEN, _INTERP, _VM_OPT) holds any other value.
+    /// RUSTBRAIN_SCREEN) holds any other value.
     explicit Oracle(OracleOptions options = {});
     virtual ~Oracle() = default;
     Oracle(const Oracle&) = delete;
@@ -324,7 +307,9 @@ class Oracle {
     [[nodiscard]] bool caching_enabled() const { return caching_; }
     [[nodiscard]] bool screening_enabled() const { return screening_; }
     [[nodiscard]] InterpTier interp_tier() const { return interp_; }
-    [[nodiscard]] bool vm_opt_enabled() const { return vm_opt_; }
+    /// Always true: long runs execute optimized bytecode. Kept because the
+    /// benchmark header (perfbench/rbbench.cpp) prints it.
+    [[nodiscard]] bool vm_opt_enabled() const { return true; }
     [[nodiscard]] const miri::InterpLimits& limits() const { return limits_; }
     [[nodiscard]] const std::shared_ptr<VerifyCache>& cache() const {
         return cache_;
@@ -343,9 +328,8 @@ class Oracle {
   protected:
     /// The uncached unit of work: run the selected tier once per input
     /// vector (under the slot tier, a run past the step budget restarts on
-    /// the vm), merging outputs and de-duplicated findings in input order.
-    /// Virtual so tests can count real interpretations through a counting
-    /// double.
+    /// the vm), merged by miri::merge_runs. Virtual so tests can count real
+    /// interpretations, or run every input on the vm, through a double.
     [[nodiscard]] virtual miri::MiriReport interpret(
         const CompiledProgram& compiled,
         const std::vector<std::vector<std::int64_t>>& input_sets) const;
@@ -373,7 +357,6 @@ class Oracle {
     bool caching_ = true;
     bool screening_ = true;
     InterpTier interp_ = InterpTier::Slot;
-    bool vm_opt_ = true;
     screen::ScreenOptions screen_options_;
     mutable std::atomic<std::uint64_t> screens_{0};
     mutable std::atomic<std::uint64_t> screen_proven_{0};

@@ -4,8 +4,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "gen/corpus_io.hpp"
 #include "gen/forge.hpp"
@@ -148,6 +151,89 @@ TEST(CorpusIoTest, MalformedInputsThrow) {
         EXPECT_NE(std::string(error.what()).find("runs past end"),
                   std::string::npos)
             << error.what();
+    }
+}
+
+/// The standard corpus's first case alone, with one input vector "5 -3",
+/// rendered — so a test can rewrite exactly one line of a known text.
+std::string one_case_text() {
+    dataset::UbCase ub_case = dataset::Corpus::standard().cases().front();
+    ub_case.inputs = {{5, -3}};
+    return corpus_to_string(dataset::Corpus({ub_case}));
+}
+
+/// `text` with its first occurrence of `from` replaced by `to`.
+std::string rewrite(std::string text, const std::string& from,
+                    const std::string& to) {
+    const std::size_t pos = text.find(from);
+    EXPECT_NE(pos, std::string::npos) << from;
+    return pos == std::string::npos ? text
+                                    : text.replace(pos, from.size(), to);
+}
+
+/// corpus_from_string must reject `text` with the documented line-numbered
+/// std::runtime_error (not std::length_error or std::bad_alloc).
+void expect_format_error(const std::string& text, const std::string& label) {
+    try {
+        (void)corpus_from_string(text);
+        ADD_FAILURE() << label << " was accepted";
+    } catch (const std::runtime_error& error) {
+        EXPECT_NE(std::string(error.what()).find("corpus format error (line"),
+                  std::string::npos)
+            << label << ": " << error.what();
+    }
+}
+
+TEST(CorpusIoTest, CorruptInputLengthsThrowFormatErrors) {
+    const std::string text = one_case_text();
+    ASSERT_EQ(corpus_from_string(text).cases().front().inputs,
+              (std::vector<std::vector<std::int64_t>>{{5, -3}}));
+    for (const std::string line :
+         {"input -1", "input 99999999999", "input 18446744073709551615 5 -3",
+          "input 3 5 -3", "input 1 5 -3", "input 2 5"}) {
+        expect_format_error(rewrite(text, "input 2 5 -3", line), line);
+    }
+}
+
+TEST(CorpusIoTest, ExtremeInputValuesRoundTrip) {
+    dataset::UbCase ub_case = dataset::Corpus::standard().cases().front();
+    ub_case.inputs = {{std::numeric_limits<std::int64_t>::min(),
+                       std::numeric_limits<std::int64_t>::max(), 0}, {}};
+    const std::string text = corpus_to_string(dataset::Corpus({ub_case}));
+    const dataset::Corpus reloaded = corpus_from_string(text);
+    EXPECT_EQ(reloaded.cases().front().inputs, ub_case.inputs);
+    EXPECT_EQ(corpus_to_string(reloaded), text);
+    expect_format_error(rewrite(text, "-9223372036854775808",
+                                "-9223372036854775809"),
+                        "below INT64_MIN");
+    expect_format_error(rewrite(text, " 9223372036854775807",
+                                " 9223372036854775808"),
+                        "above INT64_MAX");
+}
+
+TEST(CorpusIoTest, NonCanonicalNumbersAreRejected) {
+    // std::stoull and operator>> would take a sign, leading whitespace,
+    // leading zeros or "-0", and a cast to int would wrap a difficulty
+    // past INT_MAX back into range; the format is canonical-only, so
+    // render(parse(x)) == x holds for every accepted text.
+    const std::string text = one_case_text();
+    for (const auto& [from, to] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"cases 1", "cases +1"},
+             {"cases 1", "cases  1"},
+             {"difficulty ", "difficulty +"},
+             {"difficulty ", "difficulty 4294967296"},
+             {"inputs 1", "inputs  1"},
+             {"input 2 5 -3", "input +2 5 -3"},
+             {"input 2 5 -3", "input 2 +5 -3"},
+             {"input 2 5 -3", "input 2  5 -3"},
+             {"input 2 5 -3", "input 2 5 -3 "},
+             {"input 2 5 -3", "input 2 5 --3"},
+             {"input 2 5 -3", "input 2 05 -3"},
+             {"input 2 5 -3", "input 2 5 -0"},
+             {"input 2 5 -3", "input 02 5 -3"},
+             {"buggy ", "buggy +"}}) {
+        expect_format_error(rewrite(text, from, to), to);
     }
 }
 

@@ -2,8 +2,11 @@
 // behavior, and end-to-end BatchRunner sweeps over generated corpora.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/batch_runner.hpp"
 #include "core/engine_registry.hpp"
@@ -14,6 +17,7 @@
 #include "lang/parser.hpp"
 #include "lang/typecheck.hpp"
 #include "support/rng.hpp"
+#include "verify/oracle.hpp"
 
 namespace rustbrain::gen {
 namespace {
@@ -192,6 +196,24 @@ TEST(ForgeTest, ZeroCountYieldsEmptyCorpus) {
     forge_corpus(small_forge(1, 0), &stats);
     EXPECT_EQ(stats.accepted(), 0u);
     EXPECT_EQ(stats.attempts, 0u);
+}
+
+TEST(ForgeTest, DefaultAndTreeOraclesForgeIdenticalBytes) {
+    // The tier never changes a report, so the corpus_forge default run
+    // (seed 7, 160 cases) is byte-identical through the slot tier and the
+    // tree reference. Private caches: each oracle really interprets.
+    auto forge_through = [](verify::InterpTier tier) {
+        verify::OracleOptions oracle_options;
+        oracle_options.cache = std::make_shared<verify::VerifyCache>();
+        oracle_options.interp = tier;
+        const verify::Oracle oracle(std::move(oracle_options));
+        ForgeOptions options = small_forge(7, 160);
+        options.oracle = &oracle;
+        return corpus_to_string(forge_corpus(options));
+    };
+    const std::string slot = forge_through(verify::InterpTier::Slot);
+    EXPECT_EQ(slot, forge_through(verify::InterpTier::Tree));
+    EXPECT_EQ(slot, corpus_to_string(forge_corpus(small_forge(7, 160))));
 }
 
 TEST(GeneratorTest, GenerateIsPureInItsRng) {

@@ -9,12 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dataset/corpus.hpp"
 #include "miri/interp.hpp"
 #include "miri/mirilite.hpp"
 #include "verify/oracle.hpp"
+#include "vm_oracle.hpp"
 
 namespace rustbrain::miri {
 namespace {
@@ -42,8 +44,9 @@ void expect_reports_equal(const MiriReport& want, const MiriReport& got,
 }
 
 /// Run `source` through the tree-walk MiriLite and through uncached,
-/// unscreened slot and vm Oracles (screening off so the interpreter tier
-/// under test actually executes), and require byte-equal reports.
+/// unscreened Oracles — the slot tier and the VmOracle double on plain and
+/// optimized bytecode (screening off so the path under test actually
+/// executes) — and require byte-equal reports.
 void expect_tiers_agree(const std::string& source, const Inputs& inputs,
                         InterpLimits limits = {}) {
     const MiriLite tree_walk(limits);
@@ -51,35 +54,25 @@ void expect_tiers_agree(const std::string& source, const Inputs& inputs,
 
     // Four-way: slot lowering, the VM on raw bytecode, and the VM on
     // vm::optimize output all replay the tree walk byte for byte.
-    struct Rung {
-        verify::InterpTier tier;
-        bool vm_opt;
-        const char* label;
-    };
-    for (const Rung& rung :
-         {Rung{verify::InterpTier::Slot, false, "slot"},
-          Rung{verify::InterpTier::Vm, false, "vm"},
-          Rung{verify::InterpTier::Vm, true, "vm-opt"}}) {
-        verify::OracleOptions options;
-        options.limits = limits;
-        options.caching = false;
-        options.screening = false;
-        options.interp = rung.tier;
-        options.vm_opt = rung.vm_opt;
-        const verify::Oracle oracle(options);
-        expect_reports_equal(reference, oracle.test_source(source, inputs),
-                             std::string(rung.label) + "\n" + source);
+    verify::OracleOptions options;
+    options.limits = limits;
+    options.caching = false;
+    options.screening = false;
+    const verify::Oracle slot(options);
+    const verify::VmOracle vm(options, /*optimized=*/false);
+    const verify::VmOracle vm_opt(options, /*optimized=*/true);
+    for (const auto& [oracle, label] :
+         {std::pair<const verify::Oracle*, const char*>{&slot, "slot"},
+          {&vm, "vm"},
+          {&vm_opt, "vm-opt"}}) {
+        expect_reports_equal(reference, oracle->test_source(source, inputs),
+                             std::string(label) + "\n" + source);
     }
 }
 
-TEST(MiriVmTest, TierNamesRoundTrip) {
-    EXPECT_EQ(verify::parse_interp_tier("tree"), verify::InterpTier::Tree);
-    EXPECT_EQ(verify::parse_interp_tier("slot"), verify::InterpTier::Slot);
-    EXPECT_EQ(verify::parse_interp_tier("vm"), verify::InterpTier::Vm);
-    EXPECT_FALSE(verify::parse_interp_tier("bytecode").has_value());
-    EXPECT_FALSE(verify::parse_interp_tier("").has_value());
-    EXPECT_EQ(verify::interp_tier_names(), "tree, slot, vm");
-    EXPECT_STREQ(verify::to_string(verify::InterpTier::Vm), "vm");
+TEST(MiriVmTest, TierNames) {
+    EXPECT_STREQ(verify::to_string(verify::InterpTier::Tree), "tree");
+    EXPECT_STREQ(verify::to_string(verify::InterpTier::Slot), "slot");
 }
 
 TEST(MiriVmTest, WholeCorpusAgreesBuggyAndFixed) {
@@ -389,8 +382,7 @@ fn main() {
     options.limits = two;
     options.caching = false;
     options.screening = false;
-    options.interp = verify::InterpTier::Vm;
-    const verify::Oracle oracle(options);
+    const verify::VmOracle oracle(options, /*optimized=*/true);
     const MiriReport report = oracle.test_source(source, {});
     EXPECT_TRUE(report.passed()) << report.summary();
 }
@@ -426,19 +418,13 @@ TEST(MiriVmTest, FrontEndErrorsBypassTheVm) {
     expect_tiers_agree("fn main() {\n    let x: bool = 3;\n}\n", {});
 }
 
-TEST(MiriVmTest, EnvGateSelectsTheVmTier) {
-    // OracleOptions::interp wins over the env; unset env means slot.
+TEST(MiriVmTest, OptionsSelectTheTierAndSlotIsTheDefault) {
     verify::OracleOptions options;
-    options.interp = verify::InterpTier::Vm;
-    const verify::Oracle oracle(options);
-    EXPECT_EQ(oracle.interp_tier(), verify::InterpTier::Vm);
+    options.interp = verify::InterpTier::Tree;
+    EXPECT_EQ(verify::Oracle(options).interp_tier(), verify::InterpTier::Tree);
     const verify::Oracle plain;
-    EXPECT_EQ(plain.interp_tier(),
-              verify::parse_interp_tier(
-                  std::getenv("RUSTBRAIN_INTERP") == nullptr
-                      ? "slot"
-                      : std::getenv("RUSTBRAIN_INTERP"))
-                  .value_or(verify::InterpTier::Slot));
+    EXPECT_EQ(plain.interp_tier(), verify::InterpTier::Slot);
+    EXPECT_TRUE(plain.vm_opt_enabled());
 }
 
 }  // namespace

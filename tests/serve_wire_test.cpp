@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dataset/corpus.hpp"
@@ -154,18 +155,42 @@ TEST(ServeWireTest, MalformedPayloadsThrowNamingTheLine) {
 }
 
 TEST(ServeWireTest, NonCanonicalIntegersAreRejected) {
-    // std::stoull would happily take leading whitespace and '+'; the wire
-    // format is strict-canonical, so both must fail to parse.
+    // std::stoull would happily take leading whitespace, '+' and leading
+    // zeros, operator>> a doubled space, and a cast to int wraps a count
+    // past INT_MAX; strtod takes a decimal double or leading whitespace.
+    // The wire format is strict-canonical, so every one must fail to parse
+    // — in single fields and in the multi-number lines, which must also
+    // hold exactly the declared count.
     const std::string rendered = render_case_result(full_result());
-    const std::string canonical = "solutions 3";
-    for (const std::string lenient : {"solutions +3", "solutions  3"}) {
+    for (const auto& [from, to] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"solutions 3", "solutions +3"},
+             {"solutions 3", "solutions  3"},
+             {"solutions 3", "solutions 4294967299"},
+             {"solutions 3", "solutions 03"},
+             {"0x1.999999999999ap-4", "0.1"},
+             {"0x1.999999999999ap-4", "\t0x1.999999999999ap-4"},
+             {"thinking 2 1 1 4", "thinking 2 1 1 4294967300"},
+             {"thinking 2 1 1 4", "thinking 2 1 1 +4"},
+             {"thinking 2 1 1 4", "thinking 2  1 1 4"},
+             {"thinking 2 1 1 4", "thinking 2 1 1"},
+             {"screens 6 2 3 1", "screens 6 2 3 1 0"},
+             {"trajectory 3 3 1 0", "trajectory 3 3 1 +0"},
+             {"trajectory 3 3 1 0", "trajectory 4 3 1 0"},
+             {"trajectory 3 3 1 0", "trajectory 99999999999 3 1 0"},
+             {"trajectory 3 3 1 0", "trajectory 3 3 1 0 "}}) {
         std::string mutated = rendered;
-        const std::size_t pos = mutated.find(canonical);
-        ASSERT_NE(pos, std::string::npos);
-        mutated.replace(pos, canonical.size(), lenient);
+        const std::size_t pos = mutated.find(from);
+        ASSERT_NE(pos, std::string::npos) << from;
+        mutated.replace(pos, from.size(), to);
         EXPECT_THROW((void)parse_case_result(mutated), std::runtime_error)
-            << "accepted '" << lenient << "'";
+            << "accepted '" << to << "'";
     }
+    std::string charge = rendered;
+    const std::size_t pos = charge.find("charge ");
+    ASSERT_NE(pos, std::string::npos);
+    charge.insert(charge.find(' ', pos + 7) + 1, "+");  // "+<bytes>"
+    EXPECT_THROW((void)parse_case_result(charge), std::runtime_error);
 }
 
 TEST(ServeWireTest, FramePrefixIsBigEndianAndBounded) {

@@ -366,8 +366,7 @@ TEST(OracleEnvTest, TypoedKnobsThrowAtConstructionListingAcceptedValues) {
     } knobs[] = {
         {"RUSTBRAIN_VERIFY_CACHE", "of", "on, off, 1, 0, true, false"},
         {"RUSTBRAIN_SCREEN", "yes", "on, off, 1, 0, true, false"},
-        {"RUSTBRAIN_VM_OPT", "", "on, off, 1, 0, true, false"},
-        {"RUSTBRAIN_INTERP", "vmm", "tree, slot, vm"},
+        {"RUSTBRAIN_SCREEN", "", "on, off, 1, 0, true, false"},
     };
     for (const auto& knob : knobs) {
         const ScopedEnv env(knob.name, knob.typo);
@@ -389,18 +388,12 @@ TEST(OracleEnvTest, TypoedKnobsThrowAtConstructionListingAcceptedValues) {
 TEST(OracleEnvTest, PinnedOptionsNeverReadTheEnv) {
     const ScopedEnv cache("RUSTBRAIN_VERIFY_CACHE", "of");
     const ScopedEnv screen("RUSTBRAIN_SCREEN", "of");
-    const ScopedEnv interp("RUSTBRAIN_INTERP", "vmm");
-    const ScopedEnv vm_opt("RUSTBRAIN_VM_OPT", "of");
     OracleOptions options;
     options.caching = false;
     options.screening = false;
-    options.interp = InterpTier::Vm;
-    options.vm_opt = false;
     const Oracle oracle(options);
     EXPECT_FALSE(oracle.caching_enabled());
     EXPECT_FALSE(oracle.screening_enabled());
-    EXPECT_EQ(oracle.interp_tier(), InterpTier::Vm);
-    EXPECT_FALSE(oracle.vm_opt_enabled());
 }
 
 TEST(OracleEnvTest, EveryAcceptedSpellingResolvesAsBefore) {
@@ -421,22 +414,6 @@ TEST(OracleEnvTest, EveryAcceptedSpellingResolvesAsBefore) {
             const ScopedEnv env("RUSTBRAIN_SCREEN", spelling.value);
             EXPECT_EQ(Oracle().screening_enabled(), spelling.on) << label;
         }
-        {
-            const ScopedEnv env("RUSTBRAIN_VM_OPT", spelling.value);
-            EXPECT_EQ(Oracle().vm_opt_enabled(), spelling.on) << label;
-        }
-    }
-    const struct {
-        const char* value;
-        InterpTier tier;
-    } tiers[] = {{nullptr, InterpTier::Slot},
-                 {"tree", InterpTier::Tree},
-                 {"slot", InterpTier::Slot},
-                 {"vm", InterpTier::Vm}};
-    for (const auto& tier : tiers) {
-        const ScopedEnv env("RUSTBRAIN_INTERP", tier.value);
-        EXPECT_EQ(Oracle().interp_tier(), tier.tier)
-            << (tier.value == nullptr ? "(unset)" : tier.value);
     }
 }
 

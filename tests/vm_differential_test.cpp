@@ -1,18 +1,16 @@
-// Differential stress for the interpreter tiers: a 560-case forged corpus
-// swept by every registry engine under RUSTBRAIN_INTERP=tree, slot, and vm
-// — the vm tier both with and without the vm::optimize pass
-// (RUSTBRAIN_VM_OPT) — must produce byte-identical CaseResult
-// fingerprints, serial and 4-worker (the verify_oracle_test bit-identity
-// pattern). Tier and optimizer are pure performance knobs — if any
-// opcode, fused replay, kill order, or limit check drifted from the tree
-// walk by even one step, some forged case's repair trajectory would
-// diverge and the fingerprints would split. The slot rows tier up: a run
-// past 32,768 steps finishes on the vm, so their step-limit programs run
-// on bytecode; the slot walk's own step-limit path is pinned by
-// MiriLowerTest.StepLimitExhaustionIsStableOnBothPaths.
+// Differential stress for the interpreter paths: a 560-case forged corpus
+// swept by every registry engine through the tree reference, the default
+// slot tier, and the VmOracle test double (every verification on the vm,
+// over optimized and over plain bytecode) must produce byte-identical
+// CaseResult fingerprints, serial and 4-worker (the verify_oracle_test
+// bit-identity pattern). If any opcode, fused replay, kill order, or limit
+// check drifted from the tree walk by even one step, some forged case's
+// repair trajectory would diverge and the fingerprints would split. The
+// slot rows tier up: a run past 32,768 steps finishes on the vm, so their
+// step-limit programs run on bytecode; the slot walk's own step-limit path
+// is pinned by MiriLowerTest.StepLimitExhaustionIsStableOnBothPaths.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,6 +23,7 @@
 #include "miri/mirilite.hpp"
 #include "support/hashing.hpp"
 #include "verify/oracle.hpp"
+#include "vm_oracle.hpp"
 
 namespace rustbrain::verify {
 namespace {
@@ -68,17 +67,30 @@ std::uint64_t fingerprint(const core::BatchReport& report) {
     return support::fnv1a64(blob);
 }
 
-/// Oracle configured purely from RUSTBRAIN_INTERP (already set by the
-/// caller): private cache, screening off so the selected tier actually
-/// interprets every uncached verification.
-std::shared_ptr<Oracle> env_gated_oracle(InterpTier expected) {
-    OracleOptions options;
-    options.cache = std::make_shared<VerifyCache>();
-    options.caching = true;
+/// The interpreter paths under test: the tree reference, the default slot
+/// tier, and every run on the vm over optimized or plain bytecode.
+enum class Path { Tree, Slot, VmOpt, VmPlain };
+
+const char* path_name(Path path) {
+    switch (path) {
+        case Path::Tree: return "tree";
+        case Path::Slot: return "slot";
+        case Path::VmOpt: return "vm-opt";
+        case Path::VmPlain: return "vm-plain";
+    }
+    return "?";
+}
+
+/// An oracle on `path` with screening off, so the path actually interprets
+/// every uncached verification.
+std::shared_ptr<Oracle> path_oracle(Path path, OracleOptions options) {
     options.screening = false;
-    auto oracle = std::make_shared<Oracle>(std::move(options));
-    EXPECT_EQ(oracle->interp_tier(), expected);  // the env gate is live
-    return oracle;
+    if (path == Path::Tree) options.interp = InterpTier::Tree;
+    if (path == Path::VmOpt || path == Path::VmPlain) {
+        return std::make_shared<VmOracle>(std::move(options),
+                                          path == Path::VmOpt);
+    }
+    return std::make_shared<Oracle>(std::move(options));
 }
 
 const dataset::Corpus& forged_corpus() {
@@ -99,18 +111,11 @@ TEST(VmDifferentialTest, ForgedCorpusMiriReportsAgreeAcrossAllTiers) {
     const dataset::Corpus& corpus = forged_corpus();
     ASSERT_EQ(corpus.size(), 560u);
 
-    std::vector<std::unique_ptr<Oracle>> oracles;
-    for (const InterpTier tier :
-         {InterpTier::Tree, InterpTier::Slot, InterpTier::Vm,
-          InterpTier::Vm}) {
+    std::vector<std::shared_ptr<Oracle>> oracles;
+    for (const Path path : {Path::Tree, Path::Slot, Path::VmOpt, Path::VmPlain}) {
         OracleOptions options;
         options.caching = false;
-        options.screening = false;
-        options.interp = tier;
-        // Third oracle runs the optimized bytecode (the default), the
-        // fourth pins the optimizer off — both must match the tree walk.
-        options.vm_opt = oracles.size() < 3;
-        oracles.push_back(std::make_unique<Oracle>(std::move(options)));
+        oracles.push_back(path_oracle(path, std::move(options)));
     }
     auto report_blob = [](const miri::MiriReport& report) {
         std::string blob = std::to_string(report.total_steps) + '\n';
@@ -151,35 +156,26 @@ TEST(VmDifferentialTest, EveryEngineSweepsBitIdenticallyUnderEveryTier) {
     kb::seed_from_corpus(dataset::Corpus::standard(), kbase);
 
     struct Config {
-        const char* tier;
-        InterpTier expected;
+        Path path;
         std::size_t workers;
-        const char* vm_opt = nullptr;  // RUSTBRAIN_VM_OPT (nullptr = unset)
     };
-    const Config baseline_config{"tree", InterpTier::Tree, 1};
+    const Config baseline_config{Path::Tree, 1};
     const std::vector<Config> configs = {
-        {"tree", InterpTier::Tree, 4},
-        {"slot", InterpTier::Slot, 1},
-        {"slot", InterpTier::Slot, 4},
-        {"vm", InterpTier::Vm, 1, "on"},
-        {"vm", InterpTier::Vm, 4, "on"},
-        {"vm", InterpTier::Vm, 1, "off"},
-        {"vm", InterpTier::Vm, 4, "off"},
+        {Path::Tree, 4},  {Path::Slot, 1},    {Path::Slot, 4},
+        {Path::VmOpt, 1}, {Path::VmOpt, 4},   {Path::VmPlain, 1},
+        {Path::VmPlain, 4},
     };
 
     for (const std::string& engine_id : core::EngineRegistry::builtin().ids()) {
         SCOPED_TRACE(engine_id);
 
         auto sweep = [&](const Config& config) {
-            ::setenv("RUSTBRAIN_INTERP", config.tier, 1);
-            if (config.vm_opt != nullptr) {
-                ::setenv("RUSTBRAIN_VM_OPT", config.vm_opt, 1);
-            } else {
-                ::unsetenv("RUSTBRAIN_VM_OPT");
-            }
+            OracleOptions options;
+            options.cache = std::make_shared<VerifyCache>();
+            options.caching = true;
             core::EngineBuildContext context;
             context.knowledge_base = &kbase;
-            context.oracle = env_gated_oracle(config.expected);
+            context.oracle = path_oracle(config.path, std::move(options));
             const core::BatchRunner runner(engine_id, {}, context,
                                            core::BatchOptions{config.workers});
             return fingerprint(runner.run(corpus));
@@ -187,16 +183,11 @@ TEST(VmDifferentialTest, EveryEngineSweepsBitIdenticallyUnderEveryTier) {
 
         const std::uint64_t want = sweep(baseline_config);
         for (const Config& config : configs) {
-            SCOPED_TRACE(std::string(config.tier) + "/" +
-                         std::to_string(config.workers) + "-worker" +
-                         (config.vm_opt != nullptr
-                              ? std::string("/opt-") + config.vm_opt
-                              : std::string()));
+            SCOPED_TRACE(std::string(path_name(config.path)) + "/" +
+                         std::to_string(config.workers) + "-worker");
             EXPECT_EQ(want, sweep(config));
         }
     }
-    ::unsetenv("RUSTBRAIN_INTERP");
-    ::unsetenv("RUSTBRAIN_VM_OPT");
 }
 
 }  // namespace

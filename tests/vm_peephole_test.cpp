@@ -4,13 +4,12 @@
 // registers) and observationally (for every fused opcode, findings,
 // outputs, spans, and above all *step counts* are byte-identical to the
 // tree walk and to the unoptimized VM; five forged corpora render
-// bit-identically under RUSTBRAIN_VM_OPT=on and off; the tree tier
-// never pays for a bytecode compile at all, and the slot tier pays only
-// for runs past its 32,768-step budget, which restart on the vm and still
-// match the tree walk byte for byte).
+// bit-identically with every verification on optimized and on plain
+// bytecode; the tree tier never pays for a bytecode compile at all, and
+// the slot tier pays only for runs past its 32,768-step budget, which
+// restart on the vm and still match the tree walk byte for byte).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -29,6 +28,7 @@
 #include "verify/oracle.hpp"
 #include "vm/bytecode.hpp"
 #include "vm/peephole.hpp"
+#include "vm_oracle.hpp"
 
 namespace rustbrain {
 namespace {
@@ -94,9 +94,7 @@ void expect_opt_exact(const std::string& source, const Inputs& inputs = {},
         options.limits = limits;
         options.caching = false;
         options.screening = false;
-        options.interp = verify::InterpTier::Vm;
-        options.vm_opt = opt;
-        const verify::Oracle oracle(options);
+        const verify::VmOracle oracle(options, opt);
         expect_reports_equal(reference, oracle.test_source(source, inputs),
                              std::string(opt ? "vm-opt" : "vm") + "\n" +
                                  source);
@@ -226,66 +224,45 @@ TEST(VmPeepholeTest, PromotionKeepsTheObservableAddressStreamExact) {
 
 TEST(VmPeepholeTest, TreeTierNeverCompilesBytecode) {
     // Laziness is part of the contract: bytecode (and the optimize pass)
-    // are built on first vm-tier use, so a tree-tier oracle must leave
-    // both process-wide counters untouched.
+    // are built on first vm use, so a tree-tier oracle must leave both
+    // process-wide counters untouched.
     const char* source = "fn main() { print_int(6 * 7); }";
-    ::setenv("RUSTBRAIN_INTERP", "tree", 1);
     const std::uint64_t compiles_before =
         vm::CompileStats::bytecode_compiles.load();
     const std::uint64_t passes_before =
         vm::CompileStats::optimize_passes.load();
-    {
-        verify::OracleOptions options;
-        options.caching = false;
-        options.screening = false;
-        const verify::Oracle oracle(options);
-        EXPECT_EQ(oracle.interp_tier(), verify::InterpTier::Tree);
-        for (int i = 0; i < 3; ++i) {
-            const miri::MiriReport report = oracle.test_source(source, {});
-            EXPECT_EQ(report.outputs.front().front(), "42");
-        }
+    verify::OracleOptions options;
+    options.caching = false;
+    options.screening = false;
+    options.interp = verify::InterpTier::Tree;
+    const verify::Oracle oracle(options);
+    for (int i = 0; i < 3; ++i) {
+        const miri::MiriReport report = oracle.test_source(source, {});
+        EXPECT_EQ(report.outputs.front().front(), "42");
     }
-    ::unsetenv("RUSTBRAIN_INTERP");
     EXPECT_EQ(vm::CompileStats::bytecode_compiles.load(), compiles_before);
     EXPECT_EQ(vm::CompileStats::optimize_passes.load(), passes_before);
 
-    // The unoptimized vm tier compiles bytecode but must not pay for the
-    // optimizer; the optimized tier runs exactly one pass per program.
-    {
-        verify::OracleOptions options;
-        options.caching = false;
-        options.screening = false;
-        options.interp = verify::InterpTier::Vm;
-        options.vm_opt = false;
-        const verify::Oracle oracle(options);
-        (void)oracle.test_source(source, {});
-    }
-    EXPECT_GT(vm::CompileStats::bytecode_compiles.load(), compiles_before);
-    EXPECT_EQ(vm::CompileStats::optimize_passes.load(), passes_before);
-    {
-        verify::OracleOptions options;
-        options.caching = false;
-        options.screening = false;
-        options.interp = verify::InterpTier::Vm;
-        options.vm_opt = true;
-        const verify::Oracle oracle(options);
-        (void)oracle.test_source(source, {});
-    }
-    EXPECT_GT(vm::CompileStats::optimize_passes.load(), passes_before);
+    // First use builds the bytecode and optimizes it exactly once per
+    // program, whichever form is asked for first.
+    const auto compiled = oracle.compile(source);
+    (void)compiled->bytecode();
+    (void)compiled->optimized_bytecode();
+    (void)compiled->bytecode();
+    EXPECT_EQ(vm::CompileStats::bytecode_compiles.load(), compiles_before + 1);
+    EXPECT_EQ(vm::CompileStats::optimize_passes.load(), passes_before + 1);
 }
 
 // --- tier-up: the slot walk restarts runs past its budget on the vm ------
 
-/// Uncached, unscreened slot-tier oracle with vm-opt on: every test_source
-/// call compiles fresh and really interprets, so the bytecode builds it
-/// causes show up in vm::CompileStats.
+/// Uncached, unscreened slot-tier (default) oracle: every test_source call
+/// compiles fresh and really interprets, so the bytecode builds it causes
+/// show up in vm::CompileStats.
 std::unique_ptr<verify::Oracle> slot_oracle(miri::InterpLimits limits = {}) {
     verify::OracleOptions options;
     options.limits = limits;
     options.caching = false;
     options.screening = false;
-    options.interp = verify::InterpTier::Slot;
-    options.vm_opt = true;
     return std::make_unique<verify::Oracle>(options);
 }
 
@@ -446,9 +423,10 @@ fn main() {
 
 TEST(VmPeepholeTest, FiveForgedCorporaRenderByteIdenticalOptOnVsOff) {
     // The torture screw: five independently forged corpora, every case
-    // swept through the full repair engine under the vm tier, rendered
-    // with the serving codec, and byte-compared between RUSTBRAIN_VM_OPT
-    // on and off. Any divergence in any fused replay shows up here.
+    // swept through the full repair engine with every verification on the
+    // vm (the VmOracle double), rendered with the serving codec, and
+    // byte-compared between optimized and plain bytecode. Any divergence
+    // in any fused replay shows up here.
     kb::KnowledgeBase kbase;
     kb::seed_from_corpus(dataset::Corpus::standard(), kbase);
     for (const unsigned seed : {11u, 22u, 33u, 44u, 55u}) {
@@ -464,17 +442,15 @@ TEST(VmPeepholeTest, FiveForgedCorporaRenderByteIdenticalOptOnVsOff) {
         const dataset::Corpus corpus = gen::forge_corpus(forge_options);
         ASSERT_EQ(corpus.size(), 32u);
 
-        auto render_all = [&](const char* vm_opt) {
-            ::setenv("RUSTBRAIN_INTERP", "vm", 1);
-            ::setenv("RUSTBRAIN_VM_OPT", vm_opt, 1);
+        auto render_all = [&](bool optimized) {
             verify::OracleOptions oracle_options;
             oracle_options.cache = std::make_shared<verify::VerifyCache>();
             oracle_options.caching = true;
             oracle_options.screening = false;
             core::EngineBuildContext context;
             context.knowledge_base = &kbase;
-            context.oracle =
-                std::make_shared<verify::Oracle>(std::move(oracle_options));
+            context.oracle = std::make_shared<verify::VmOracle>(
+                std::move(oracle_options), optimized);
             const core::BatchRunner runner("rustbrain", {}, context,
                                            core::BatchOptions{1});
             const core::BatchReport report = runner.run(corpus);
@@ -485,16 +461,14 @@ TEST(VmPeepholeTest, FiveForgedCorporaRenderByteIdenticalOptOnVsOff) {
             }
             return rendered;
         };
-        const std::vector<std::string> with_opt = render_all("on");
-        const std::vector<std::string> without_opt = render_all("off");
+        const std::vector<std::string> with_opt = render_all(true);
+        const std::vector<std::string> without_opt = render_all(false);
         ASSERT_EQ(with_opt.size(), without_opt.size());
         for (std::size_t i = 0; i < with_opt.size(); ++i) {
             EXPECT_EQ(with_opt[i], without_opt[i])
                 << "case " << corpus.cases()[i].id;
         }
     }
-    ::unsetenv("RUSTBRAIN_INTERP");
-    ::unsetenv("RUSTBRAIN_VM_OPT");
 }
 
 }  // namespace
