@@ -42,16 +42,7 @@ int usage(const char* argv0) {
     return 2;
 }
 
-/// "proven/likely/unknown" verdict-mix cell.
-std::string screen_cell(std::uint64_t proven, std::uint64_t likely,
-                        std::uint64_t unknown) {
-    return std::to_string(proven) + "/" + std::to_string(likely) + "/" +
-           std::to_string(unknown);
-}
-
-// Compares every behavior field; the screen_* counters are deliberately
-// excluded — they are pure observability and legitimately differ
-// screen-on vs screen-off.
+// Compares every CaseResult field, then the aggregate clock.
 bool identical(const core::BatchReport& a, const core::BatchReport& b) {
     if (a.results.size() != b.results.size()) return false;
     for (std::size_t i = 0; i < a.results.size(); ++i) {
@@ -162,13 +153,11 @@ int main(int argc, char** argv) {
         std::make_shared<verify::Oracle>(std::move(oracle_options));
 
     support::TextTable table({"workers", "wall (ms)", "speedup", "llm hits",
-                              "verify hits", "screen p/l/u",
-                              "bit-identical to serial"});
+                              "verify hits", "bit-identical to serial"});
     table.add_row({"1 (no cache)", support::format_double(serial.wall_ms, 0),
-                   "1.00x", "-", "-", "-", "-"});
+                   "1.00x", "-", "-", "-"});
     llm::PromptCacheStats llm_before = cache->stats();
     verify::VerifyCacheStats verify_before = cached_context.oracle->stats();
-    verify::ScreenStats screen_before = cached_context.oracle->screen_stats();
     verify::VerifyCacheStats last_delta;
     core::BatchReport last_report;
     std::size_t last_workers = 0;
@@ -185,8 +174,6 @@ int main(int argc, char** argv) {
             cached_context.oracle->stats();
         last_delta = verify_delta(verify_before, verify_after);
         verify_before = verify_after;
-        const verify::ScreenStats screen_after =
-            cached_context.oracle->screen_stats();
         table.add_row(
             {std::to_string(workers),
              support::format_double(report.wall_ms, 0),
@@ -194,11 +181,7 @@ int main(int argc, char** argv) {
              hit_rate_cell(llm_hits, llm_calls),
              hit_rate_cell(last_delta.report_hits,
                            last_delta.report_hits + last_delta.report_misses),
-             screen_cell(screen_after.proven_safe - screen_before.proven_safe,
-                         screen_after.likely_ub - screen_before.likely_ub,
-                         screen_after.unknown - screen_before.unknown),
              identical(serial, report) ? "yes" : "NO (BUG)"});
-        screen_before = screen_after;
         last_report = report;
         last_workers = workers;
     }
@@ -212,8 +195,7 @@ int main(int argc, char** argv) {
     // from the ThinkingSwitch trace events each CaseResult surfaces;
     // bench/policy_ablation is the dedicated (feedback-warmed) study.
     support::TextTable policy_table({"policy", "pass", "exec", "virtual min",
-                                     "switches", "escal", "stops", "skips",
-                                     "screen p/l/u"});
+                                     "switches", "escal", "stops", "skips"});
     for (const std::string& policy_id :
          core::PolicyRegistry::builtin().ids()) {
         // Same engine configuration as the scaling rows, policy swapped in.
@@ -226,25 +208,18 @@ int main(int argc, char** argv) {
         int escalations = 0;
         int early_stops = 0;
         int skips = 0;
-        std::uint64_t proven = 0;
-        std::uint64_t likely = 0;
-        std::uint64_t unknown = 0;
         for (const core::CaseResult& result : report.results) {
             switches += result.thinking_switches;
             escalations += result.escalations;
             early_stops += result.early_stops;
             skips += result.attempts_skipped;
-            proven += static_cast<std::uint64_t>(result.screen_proven_safe);
-            likely += static_cast<std::uint64_t>(result.screen_likely_ub);
-            unknown += static_cast<std::uint64_t>(result.screen_unknown);
         }
         policy_table.add_row(
             {policy_id, std::to_string(report.pass_total()),
              std::to_string(report.exec_total()),
              support::format_double(report.virtual_ms_total() / 60000.0, 1),
              std::to_string(switches), std::to_string(escalations),
-             std::to_string(early_stops), std::to_string(skips),
-             screen_cell(proven, likely, unknown)});
+             std::to_string(early_stops), std::to_string(skips)});
     }
     std::printf("aggregate per thinking policy (same corpus, shared "
                 "caches):\n%s\n",
@@ -268,8 +243,6 @@ int main(int argc, char** argv) {
                 100.0 * verify_total.report_hit_rate(),
                 static_cast<unsigned long long>(verify_total.program_evictions),
                 static_cast<unsigned long long>(verify_total.report_evictions));
-    std::printf("static pre-screen: %s\n",
-                cached_context.oracle->screen_summary().c_str());
     std::printf("note: speedup saturates at the machine's physical core "
                 "count; after the first cached run the sweep answers almost "
                 "entirely from both caches, and results are identical at any "

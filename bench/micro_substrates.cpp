@@ -15,7 +15,6 @@
 #include "miri/interp.hpp"
 #include "miri/lower.hpp"
 #include "miri/mirilite.hpp"
-#include "screen/screen.hpp"
 #include "verify/oracle.hpp"
 #include "vm/peephole.hpp"
 #include "vm/vm.hpp"
@@ -334,22 +333,6 @@ void BM_VmCompile(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_VmCompile);
-
-void BM_ScreenOnly(benchmark::State& state) {
-    // The screening rung of the ladder: abstract interpretation over the
-    // already-compiled program, no MiriLite run (this workload screens
-    // ProvenSafe, the case where the Oracle skips interpretation entirely).
-    const auto* ub_case = corpus().find("uninit/partial_init_0");
-    auto program = lang::try_parse(ub_case->reference_fix);
-    lang::type_check(*program);
-    const miri::LoweredProgram lowered = miri::lower_program(*program);
-    for (auto _ : state) {
-        auto result =
-            screen::screen_program(*program, lowered, ub_case->inputs, {});
-        benchmark::DoNotOptimize(result);
-    }
-}
-BENCHMARK(BM_ScreenOnly);
 
 void BM_OracleUncached(benchmark::State& state) {
     const auto* ub_case = corpus().find("uninit/partial_init_0");

@@ -147,12 +147,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(warm.records()));
 
     // Phase 2: one warm-started parallel sweep per registered policy.
-    // "screen p/l/u" is the proven-safe / likely-ub / unknown verdict mix
-    // the pre-screener handed the cases of that sweep (what the `screened`
-    // policy keys on).
     support::TextTable table({"policy", "pass", "exec", "virtual min",
                               "s/case", "llm calls", "escal", "stops", "skips",
-                              "fast-only", "screen p/l/u"});
+                              "fast-only"});
     const std::size_t workers = support::ThreadPool::hardware_threads();
     for (const std::string& policy_id :
          core::PolicyRegistry::builtin().ids()) {
@@ -167,9 +164,6 @@ int main(int argc, char** argv) {
         int early_stops = 0;
         int skips = 0;
         int fast_only = 0;
-        int screen_proven = 0;
-        int screen_likely = 0;
-        int screen_unknown = 0;
         for (const core::CaseResult& result : report.results) {
             llm_calls += result.llm_calls;
             escalations += result.escalations;
@@ -177,9 +171,6 @@ int main(int argc, char** argv) {
             skips += result.attempts_skipped;
             // A case that switched but never escalated ran on intuition.
             fast_only += result.thinking_switches > 0 && result.escalations == 0;
-            screen_proven += result.screen_proven_safe;
-            screen_likely += result.screen_likely_ub;
-            screen_unknown += result.screen_unknown;
         }
         table.add_row(
             {policy_id, pct(100.0 * report.pass_total() / cases.size()) + "%",
@@ -190,19 +181,13 @@ int main(int argc, char** argv) {
                                     2),
              std::to_string(llm_calls), std::to_string(escalations),
              std::to_string(early_stops), std::to_string(skips),
-             std::to_string(fast_only),
-             std::to_string(screen_proven) + "/" +
-                 std::to_string(screen_likely) + "/" +
-                 std::to_string(screen_unknown)});
+             std::to_string(fast_only)});
     }
     std::printf("%s\n", table.render().c_str());
     std::printf(
         "note: `paper` is the fixed switch the paper describes (and the "
         "bit-identity reference); feedback-guided trades escalations for "
-        "fast-only shortcuts on confident shapes, screened keys the switch "
-        "off the static pre-screener's verdict, budget cuts long "
+        "fast-only shortcuts on confident shapes, budget cuts long "
         "refinement tails, fast-only/slow-all bracket the trade-off space.\n");
-    std::printf("static pre-screen (all sweeps): %s\n",
-                context.oracle->screen_summary().c_str());
     return 0;
 }

@@ -5,7 +5,6 @@
 //   $ ./examples/quickstart --engine standalone
 //   $ ./examples/quickstart --engine rustbrain --options model=gpt-3.5
 //   $ ./examples/quickstart --policy budget,ms=1500
-//   $ ./examples/quickstart --screen off
 //   $ ./examples/quickstart --corpus forged.rbc --case gen/alloc/leak_s42_0000
 //
 // Walks through the exact pipeline of the paper's Fig. 2 on a classic
@@ -32,7 +31,7 @@ namespace {
 
 int usage(const char* argv0) {
     std::printf("usage: %s [--engine <id>] [--options k=v,k=v...]\n"
-                "          [--policy <id>[,k=v...]] [--screen on|off]\n"
+                "          [--policy <id>[,k=v...]]\n"
                 "          [--corpus <file>] [--case <id>]\n\n"
                 "available engines:\n%s\navailable policies:\n%s",
                 argv0,
@@ -82,7 +81,6 @@ int main(int argc, char** argv) {
     std::string policy_spec;  // empty = whatever --options says (or paper)
     std::string corpus_path;
     std::string case_id;
-    std::string screen_spec;  // empty = honour RUSTBRAIN_SCREEN (default on)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--engine" && i + 1 < argc) {
@@ -91,11 +89,6 @@ int main(int argc, char** argv) {
             option_spec = argv[++i];
         } else if (arg == "--policy" && i + 1 < argc) {
             policy_spec = argv[++i];
-        } else if (arg == "--screen" && i + 1 < argc) {
-            screen_spec = argv[++i];
-            if (screen_spec != "on" && screen_spec != "off") {
-                return usage(argv[0]);
-            }
         } else if (arg == "--corpus" && i + 1 < argc) {
             corpus_path = argv[++i];
         } else if (arg == "--case" && i + 1 < argc) {
@@ -143,15 +136,11 @@ int main(int argc, char** argv) {
     // oracle (the single entry point the whole repair stack shares — the
     // engine's own verifications below reuse this compile).
     std::printf("=== MiriLite detection ===\n");
-    // An explicit oracle so --screen can pin the pre-screening tier either
-    // way (empty spec honours RUSTBRAIN_SCREEN); the process-wide cache is
-    // still shared. Screening never changes results, only the stats below.
-    verify::OracleOptions oracle_options;
-    if (!screen_spec.empty()) oracle_options.screening = screen_spec == "on";
+    // An explicit oracle, built here so a typo'd env knob is reported
+    // cleanly; the process-wide cache is still shared.
     std::shared_ptr<verify::Oracle> shared_oracle;
     try {
-        shared_oracle =
-            std::make_shared<verify::Oracle>(std::move(oracle_options));
+        shared_oracle = std::make_shared<verify::Oracle>();
     } catch (const std::invalid_argument& error) {
         // A typo'd RUSTBRAIN_* knob names the variable and its values.
         std::printf("error: %s\n", error.what());
@@ -207,10 +196,5 @@ int main(int argc, char** argv) {
                 verdict.passed() ? "pass" : verdict.summary().c_str());
 
     std::printf("verification oracle: %s\n", oracle.stats_summary().c_str());
-    std::printf("static pre-screen (%d verdicts this case: %d proven-safe, "
-                "%d likely-ub, %d unknown): %s\n",
-                result.screens, result.screen_proven_safe,
-                result.screen_likely_ub, result.screen_unknown,
-                oracle.screen_summary().c_str());
     return result.pass ? 0 : 1;
 }

@@ -7,7 +7,6 @@
 //   $ ./examples/repair_campaign --engine fixed-pipeline
 //   $ ./examples/repair_campaign --engine rustbrain --limit 3   # smoke slice
 //   $ ./examples/repair_campaign --policy feedback-guided       # switch strategy
-//   $ ./examples/repair_campaign --screen off           # no static pre-screen
 //   $ ./examples/repair_campaign --corpus forged.rbc    # saved/generated corpus
 //
 // Two phases show the two execution shapes BatchRunner supports:
@@ -41,7 +40,7 @@ namespace {
 
 int usage(const char* argv0) {
     std::printf("usage: %s [--engine <id>] [--options k=v,...] [--limit N]\n"
-                "          [--policy <id>[,k=v...]] [--screen on|off]\n"
+                "          [--policy <id>[,k=v...]]\n"
                 "          [--corpus <file>]\n\n"
                 "available engines:\n%s\navailable policies:\n%s",
                 argv0,
@@ -57,7 +56,6 @@ int main(int argc, char** argv) {
     std::string option_spec;  // engines default to model=gpt-4, seed=42
     std::string policy_spec;  // empty = whatever --options says (or paper)
     std::string corpus_path;  // empty = the standard hand-written corpus
-    std::string screen_spec;  // empty = honour RUSTBRAIN_SCREEN (default on)
     std::size_t limit = 0;  // 0 = whole corpus
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -67,11 +65,6 @@ int main(int argc, char** argv) {
             option_spec = argv[++i];
         } else if (arg == "--policy" && i + 1 < argc) {
             policy_spec = argv[++i];
-        } else if (arg == "--screen" && i + 1 < argc) {
-            screen_spec = argv[++i];
-            if (screen_spec != "on" && screen_spec != "off") {
-                return usage(argv[0]);
-            }
         } else if (arg == "--corpus" && i + 1 < argc) {
             corpus_path = argv[++i];
         } else if (arg == "--limit" && i + 1 < argc) {
@@ -107,14 +100,10 @@ int main(int argc, char** argv) {
 
     core::EngineBuildContext context;
     context.knowledge_base = &kbase;
-    // One explicit oracle for the whole campaign so --screen can pin the
-    // pre-screening tier either way (empty spec honours RUSTBRAIN_SCREEN);
-    // the process-wide cache is still shared. Screening never changes
-    // results, only the stats printed below.
-    verify::OracleOptions oracle_options;
-    if (!screen_spec.empty()) oracle_options.screening = screen_spec == "on";
-    const auto oracle =
-        std::make_shared<verify::Oracle>(std::move(oracle_options));
+    // One explicit oracle for the whole campaign, so the stats printed
+    // below cover exactly its verifications; the process-wide cache is
+    // still shared.
+    const auto oracle = std::make_shared<verify::Oracle>();
     context.oracle = oracle;
     core::FeedbackStore feedback;
 
@@ -181,18 +170,10 @@ int main(int argc, char** argv) {
     int kb_skips = 0;
     int escalations = 0;
     int early_stops = 0;
-    int screens = 0;
-    int screen_proven = 0;
-    int screen_likely = 0;
-    int screen_unknown = 0;
     for (const core::CaseResult& result : report.results) {
         kb_skips += result.kb_skipped_by_feedback;
         escalations += result.escalations;
         early_stops += result.early_stops;
-        screens += result.screens;
-        screen_proven += result.screen_proven_safe;
-        screen_likely += result.screen_likely_ub;
-        screen_unknown += result.screen_unknown;
         if (result.pass && !result.winning_rule.empty()) {
             ++by_rule[result.winning_rule];
         }
@@ -202,11 +183,8 @@ int main(int argc, char** argv) {
                 "%.0f ms wall clock\n",
                 report.pass_total(), cases.size(), report.exec_total(),
                 report.virtual_ms_total() / 60000.0, kb_skips, report.wall_ms);
-    std::printf("thinking policy: %d escalations, %d early stops\n",
+    std::printf("thinking policy: %d escalations, %d early stops\n\n",
                 escalations, early_stops);
-    std::printf("static pre-screen: %d verdicts (%d proven-safe, %d likely-ub, "
-                "%d unknown)\n\n",
-                screens, screen_proven, screen_likely, screen_unknown);
 
     support::TextTable table({"winning strategy", "repairs"});
     for (const auto& [rule, count] : by_rule) {
@@ -218,6 +196,5 @@ int main(int argc, char** argv) {
     // oracle; its repeat runs over the same programs are where the
     // memoization pays.
     std::printf("\nverification oracle: %s\n", oracle->stats_summary().c_str());
-    std::printf("static pre-screen: %s\n", oracle->screen_summary().c_str());
     return 0;
 }

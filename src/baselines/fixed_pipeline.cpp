@@ -53,7 +53,7 @@ core::CaseResult FixedPipelineRepair::repair(const dataset::UbCase& ub_case) {
     if (initial.passed()) {
         result.pass = true;
         result.exec = true;
-        core::close_result(result, stats, clock);
+        core::close_result(result, clock);
         return result;
     }
     const miri::Finding& finding = initial.findings.front();
@@ -72,7 +72,7 @@ core::CaseResult FixedPipelineRepair::repair(const dataset::UbCase& ub_case) {
         fixed_steps.insert(fixed_steps.begin(), rule->id);
     }
     if (fixed_steps.empty()) {
-        core::close_result(result, stats, clock);
+        core::close_result(result, clock);
         return result;
     }
 
@@ -157,7 +157,7 @@ core::CaseResult FixedPipelineRepair::repair(const dataset::UbCase& ub_case) {
     result.escalations = stats.escalations();
     result.early_stops = stats.early_stops();
     result.attempts_skipped = stats.attempts_skipped();
-    core::close_result(result, stats, clock);
+    core::close_result(result, clock);
     return result;
 }
 

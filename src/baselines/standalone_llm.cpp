@@ -52,7 +52,7 @@ core::CaseResult StandaloneLlmRepair::repair(const dataset::UbCase& ub_case) {
     if (initial.passed()) {
         result.pass = true;
         result.exec = true;
-        core::close_result(result, stats, clock);
+        core::close_result(result, clock);
         return result;
     }
     const miri::Finding& finding = initial.findings.front();
@@ -141,7 +141,7 @@ core::CaseResult StandaloneLlmRepair::repair(const dataset::UbCase& ub_case) {
     result.escalations = stats.escalations();
     result.early_stops = stats.early_stops();
     result.attempts_skipped = stats.attempts_skipped();
-    core::close_result(result, stats, clock);
+    core::close_result(result, clock);
     return result;
 }
 

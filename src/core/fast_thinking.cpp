@@ -1,6 +1,5 @@
 #include "core/fast_thinking.hpp"
 
-#include "llm/rules.hpp"
 #include "llm/simllm.hpp"
 #include "support/strings.hpp"
 
@@ -87,21 +86,6 @@ FastThinkingResult FastThinking::run(const std::string& source, int difficulty,
         context.signals->solution_count = result.solutions.size();
         context.signals->initial_error_count = result.initial_error_count;
         context.signals->feature_key = result.feature_key;
-        // Category affinity of each ranked solution, for policies that
-        // reorder attempts when a screening verdict pins the category.
-        context.signals->solution_categories.clear();
-        for (const Solution& solution : result.solutions) {
-            std::vector<miri::UbCategory> categories;
-            for (const std::string& rule_id : solution.rule_ids) {
-                if (const llm::RepairRule* rule = llm::find_rule(rule_id)) {
-                    categories.insert(categories.end(),
-                                      rule->categories.begin(),
-                                      rule->categories.end());
-                }
-            }
-            context.signals->solution_categories.push_back(
-                std::move(categories));
-        }
     }
     return result;
 }

@@ -42,28 +42,14 @@ struct CaseResult {
     int escalations = 0;
     int early_stops = 0;
     int attempts_skipped = 0;
-    /// Static pre-screening tallies (screen/screen.hpp). Observability
-    /// only: these are the one set of CaseResult fields that legitimately
-    /// differ screen-on vs screen-off, so bit-identity comparisons must
-    /// (and do) exclude them.
-    int screens = 0;
-    int screen_proven_safe = 0;
-    int screen_likely_ub = 0;
-    int screen_unknown = 0;
     std::vector<std::size_t> error_trajectory;
     std::string winning_rule;
     std::string final_source;
 };
 
-/// The closing step of every engine return path: copies the screen
-/// tallies out of `stats`, then the virtual time and its per-category
-/// breakdown out of `clock`.
-inline void close_result(CaseResult& result, const TraceStats& stats,
-                         const support::SimClock& clock) {
-    result.screens = stats.screens();
-    result.screen_proven_safe = stats.screen_proven_safe();
-    result.screen_likely_ub = stats.screen_likely_ub();
-    result.screen_unknown = stats.screen_unknown();
+/// The closing step of every engine return path: copies the virtual time
+/// and its per-category breakdown out of `clock`.
+inline void close_result(CaseResult& result, const support::SimClock& clock) {
     result.time_ms = clock.now_ms();
     result.time_breakdown = clock.breakdown();
 }

@@ -81,7 +81,7 @@ CaseResult RustBrain::repair(const dataset::UbCase& ub_case) {
         result.pass = true;
         result.exec = true;
         result.final_source = ub_case.buggy_source;
-        close_result(result, stats, clock);
+        close_result(result, clock);
         return result;
     }
 
@@ -208,7 +208,7 @@ CaseResult RustBrain::repair(const dataset::UbCase& ub_case) {
     result.escalations = stats.escalations();
     result.early_stops = stats.early_stops();
     result.attempts_skipped = stats.attempts_skipped();
-    close_result(result, stats, clock);
+    close_result(result, clock);
     return result;
 }
 

@@ -31,20 +31,15 @@ SlowThinkingResult SlowThinking::run(const std::string& buggy_source,
     signals.error_trajectory = &result.error_trajectory;
     signals.attempt_triplets = &result.attempt_triplets;
 
-    // The attempt plan: FastOnly trusts the intuition (top solution only);
-    // Escalate asks the policy, which defaults to the full ranking order.
-    std::vector<std::size_t> plan;
-    if (mode == ThinkingMode::FastOnly) {
-        if (!fast.solutions.empty()) plan.push_back(0);
-    } else {
-        signals.elapsed_ms = context.clock.now_ms();
-        for (std::size_t index : policy.plan_attempts(signals)) {
-            if (index < fast.solutions.size()) plan.push_back(index);
-        }
-    }
-    signals.attempts_planned = plan.size();
+    // Attempts follow the ranking: FastOnly trusts the intuition (top
+    // solution only), Escalate tries every solution in order.
+    const std::size_t planned =
+        mode == ThinkingMode::FastOnly && !fast.solutions.empty()
+            ? 1
+            : fast.solutions.size();
+    signals.attempts_planned = planned;
 
-    for (std::size_t k = 0; k < plan.size(); ++k) {
+    for (std::size_t k = 0; k < planned; ++k) {
         signals.attempt_index = k;
         signals.elapsed_ms = context.clock.now_ms();
         int max_steps = options_.max_steps_per_solution;
@@ -57,11 +52,11 @@ SlowThinkingResult SlowThinking::run(const std::string& buggy_source,
         } else {
             const AttemptAction action = policy.gate_attempt(signals);
             if (action == AttemptAction::Skip) {
-                context.emit(TraceEventKind::ThinkingSwitch, "skip", plan[k]);
+                context.emit(TraceEventKind::ThinkingSwitch, "skip", k);
                 continue;
             }
             if (action == AttemptAction::Stop) {
-                context.emit(TraceEventKind::ThinkingSwitch, "stop", plan[k]);
+                context.emit(TraceEventKind::ThinkingSwitch, "stop", k);
                 break;
             }
             const int granted =
@@ -73,7 +68,7 @@ SlowThinkingResult SlowThinking::run(const std::string& buggy_source,
             max_steps = granted;
         }
 
-        const Solution& solution = fast.solutions[plan[k]];
+        const Solution& solution = fast.solutions[k];
         const double attempt_start_ms = context.clock.now_ms();
         agents::RollbackAgent rollback;
         rollback.observe(buggy_source, fast.initial_error_count);
@@ -184,7 +179,7 @@ SlowThinkingResult SlowThinking::run(const std::string& buggy_source,
             }
             // The slow-all ablation: deliberate on anyway (the winner above
             // is already locked in).
-            context.emit(TraceEventKind::ThinkingSwitch, "continue", plan[k]);
+            context.emit(TraceEventKind::ThinkingSwitch, "continue", k);
         }
     }
 

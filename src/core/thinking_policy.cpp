@@ -1,6 +1,5 @@
 #include "core/thinking_policy.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -11,14 +10,6 @@ namespace rustbrain::core {
 std::string ThinkingPolicy::descriptor() const {
     const std::string knobs = summary();
     return knobs.empty() ? id() : id() + "(" + knobs + ")";
-}
-
-std::vector<std::size_t> ThinkingPolicy::plan_attempts(
-    const PolicySignals& signals) const {
-    std::vector<std::size_t> order;
-    order.reserve(signals.solution_count);
-    for (std::size_t i = 0; i < signals.solution_count; ++i) order.push_back(i);
-    return order;
 }
 
 namespace {
@@ -60,64 +51,6 @@ class FeedbackGuidedPolicy final : public ThinkingPolicy {
     [[nodiscard]] bool escalate_on_failure(
         const PolicySignals& signals) const override {
         return signals.regression_seen;
-    }
-
-  private:
-    double threshold_;
-};
-
-/// Screener-guided switch: the static pre-screener's verdict plays the
-/// role the feedback store plays for feedback-guided, with one key
-/// difference — it needs no warm-up, the signal exists from the very first
-/// verification. A confident non-Unknown verdict means the case is
-/// routine: ProvenSafe (the fix already verifies clean statically) and
-/// LikelyUB (the category is statically pinned, so the top-ranked rule for
-/// it is a strong bet) both shortcut to FastOnly. A static pin is weaker
-/// evidence than a learned confident rule, though, so *any* fast-only
-/// failure escalates into the full slow loop, not just regressions. When
-/// LikelyUB pins the category, the attempt plan is stably reordered to put
-/// solutions whose rules repair that category first.
-class ScreenedPolicy final : public ThinkingPolicy {
-  public:
-    explicit ScreenedPolicy(double threshold) : threshold_(threshold) {}
-
-    [[nodiscard]] std::string id() const override { return "screened"; }
-    [[nodiscard]] std::string summary() const override {
-        return "threshold=" + support::format_double(threshold_, 2);
-    }
-
-    [[nodiscard]] ThinkingMode choose_mode(
-        const PolicySignals& signals) const override {
-        const bool confident =
-            signals.screened &&
-            signals.screen_verdict != screen::VerdictKind::Unknown &&
-            signals.screen_confidence >= threshold_;
-        return confident ? ThinkingMode::FastOnly : ThinkingMode::Escalate;
-    }
-
-    [[nodiscard]] bool escalate_on_failure(
-        const PolicySignals& signals) const override {
-        (void)signals;
-        return true;
-    }
-
-    [[nodiscard]] std::vector<std::size_t> plan_attempts(
-        const PolicySignals& signals) const override {
-        std::vector<std::size_t> order = ThinkingPolicy::plan_attempts(signals);
-        if (!signals.screened ||
-            signals.screen_verdict != screen::VerdictKind::LikelyUB) {
-            return order;
-        }
-        const auto repairs_pinned_category = [&](std::size_t index) {
-            if (index >= signals.solution_categories.size()) return false;
-            const auto& categories = signals.solution_categories[index];
-            return std::find(categories.begin(), categories.end(),
-                             signals.screen_category) != categories.end();
-        };
-        // Stable: within each half the model's ranking order is preserved.
-        std::stable_partition(order.begin(), order.end(),
-                              repairs_pinned_category);
-        return order;
     }
 
   private:
@@ -253,16 +186,6 @@ const PolicyRegistry& PolicyRegistry::builtin() {
                    options.check_known({"threshold"});
                    return std::make_shared<const FeedbackGuidedPolicy>(
                        options.get_double("threshold", 4.0));
-               }});
-        r.add({"screened",
-               "trust the static pre-screener: fast-only when the screening "
-               "verdict clears the confidence threshold; a LikelyUB verdict "
-               "reorders attempts to category-matching rules first; any "
-               "fast-only failure escalates (knob: threshold)",
-               [](const support::OptionMap& options) {
-                   options.check_known({"threshold"});
-                   return std::make_shared<const ScreenedPolicy>(
-                       options.get_double("threshold", 0.75));
                }});
         r.add({"budget",
                "per-case overhead budget in virtual ms; after the first "

@@ -8,8 +8,8 @@
 // solution ranking, FeedbackStore confidence for the extracted feature key,
 // the per-step verification error trajectory, the accumulated overhead
 // triplets) and answers the orchestrator's questions: run fast only or
-// escalate to slow thinking, which solutions to attempt in what order,
-// whether to skip or stop before an attempt, how many refinement steps to
+// escalate to slow thinking, whether to skip or stop before each attempt
+// (attempts run in the model's ranking order), how many refinement steps to
 // grant, and whether to keep executing after a success (ablation).
 //
 // Every decision hook defaults to the paper's fixed behavior, so the
@@ -29,8 +29,6 @@
 #include <vector>
 
 #include "core/feedback.hpp"
-#include "miri/finding.hpp"
-#include "screen/screen.hpp"
 #include "support/options.hpp"
 
 namespace rustbrain::core {
@@ -62,21 +60,6 @@ struct PolicySignals {
     // Feedback-store signals for feature_key (false/0 without a store).
     bool feedback_confident = false;  // FeedbackStore::is_confident
     double feedback_score = 0.0;      // best rule score for the key
-
-    // Static pre-screening verdict from the Oracle's screening tier,
-    // stamped by AgentContext::verify on every verification (most recent
-    // wins; screened stays false when screening is off or the source never
-    // reached the screener).
-    bool screened = false;
-    screen::VerdictKind screen_verdict = screen::VerdictKind::Unknown;
-    double screen_confidence = 0.0;
-    // Pinned category; meaningful only when screen_verdict == LikelyUB.
-    miri::UbCategory screen_category = miri::UbCategory::Panic;
-
-    // UB categories each fast-thinking solution repairs, parallel to the
-    // ranking (filled from the rule library by fast thinking; empty inner
-    // vectors for rules without category tags).
-    std::vector<std::vector<miri::UbCategory>> solution_categories;
 
     // Attempt-loop position.
     std::size_t attempt_index = 0;    // 0-based position in the plan
@@ -122,12 +105,6 @@ class ThinkingPolicy {
         (void)signals;
         return false;
     }
-
-    /// Order in which to attempt the fast-thinking solutions, as indices
-    /// into the ranking. Returning fewer indices skips the rest; the
-    /// default is the model's ranking order, unabridged.
-    [[nodiscard]] virtual std::vector<std::size_t> plan_attempts(
-        const PolicySignals& signals) const;
 
     /// Asked before each planned attempt (Escalate mode only).
     [[nodiscard]] virtual AttemptAction gate_attempt(
@@ -189,8 +166,8 @@ class PolicyRegistry {
     [[nodiscard]] std::shared_ptr<const ThinkingPolicy> build(
         const std::string& id, const support::OptionMap& options = {}) const;
 
-    /// The six built-in strategies: paper (default), feedback-guided,
-    /// screened, budget, fast-only, slow-all.
+    /// The five built-in strategies: paper (default), feedback-guided,
+    /// budget, fast-only, slow-all.
     static const PolicyRegistry& builtin();
 
   private:

@@ -15,7 +15,6 @@ const char* trace_event_kind_name(TraceEventKind kind) {
         case TraceEventKind::Rollback: return "rollback";
         case TraceEventKind::SolutionsGenerated: return "solutions_generated";
         case TraceEventKind::ThinkingSwitch: return "thinking_switch";
-        case TraceEventKind::Screen: return "screen";
         case TraceEventKind::ServiceQueue: return "service_queue";
         case TraceEventKind::ServiceComplete: return "service_complete";
     }
@@ -50,12 +49,6 @@ void TraceStats::on_event(const TraceEvent& event) {
             if (event.label == "escalate") ++escalations_;
             if (event.label == "stop") ++early_stops_;
             if (event.label == "skip") ++attempts_skipped_;
-            break;
-        case TraceEventKind::Screen:
-            ++screens_;
-            if (event.label == "proven-safe") ++screen_proven_safe_;
-            if (event.label == "likely-ub") ++screen_likely_ub_;
-            if (event.label == "unknown") ++screen_unknown_;
             break;
         case TraceEventKind::StageEnter:
         case TraceEventKind::StageExit:

@@ -31,9 +31,6 @@ enum class TraceEventKind {
                          // ("fast-only", "escalate", "skip", "stop",
                          // "continue", "steps"), value = attempt index or
                          // granted steps
-    Screen,              // a static pre-screening verdict; label = verdict
-                         // ("proven-safe", "likely-ub", "unknown"),
-                         // value = abstract ops spent
     ServiceQueue,        // serve::RepairService dequeued a request;
                          // label = engine id, value = queue wait (us)
     ServiceComplete,     // serve::RepairService finished a request;
@@ -78,12 +75,6 @@ class TraceStats final : public TraceSink {
     [[nodiscard]] int escalations() const { return escalations_; }
     [[nodiscard]] int early_stops() const { return early_stops_; }
     [[nodiscard]] int attempts_skipped() const { return attempts_skipped_; }
-    /// Screen tallies: every screening verdict observed, split by kind
-    /// (event labels "proven-safe" / "likely-ub" / "unknown").
-    [[nodiscard]] int screens() const { return screens_; }
-    [[nodiscard]] int screen_proven_safe() const { return screen_proven_safe_; }
-    [[nodiscard]] int screen_likely_ub() const { return screen_likely_ub_; }
-    [[nodiscard]] int screen_unknown() const { return screen_unknown_; }
 
   private:
     std::uint64_t llm_calls_ = 0;
@@ -96,10 +87,6 @@ class TraceStats final : public TraceSink {
     int escalations_ = 0;
     int early_stops_ = 0;
     int attempts_skipped_ = 0;
-    int screens_ = 0;
-    int screen_proven_safe_ = 0;
-    int screen_likely_ub_ = 0;
-    int screen_unknown_ = 0;
     std::vector<std::size_t> trajectory_;
 };
 

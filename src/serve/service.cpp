@@ -219,13 +219,6 @@ RepairResponse RepairService::handle(
             ++totals_.feedback_requests;
             totals_.feedback_records_absorbed += absorbed;
         }
-        totals_.screens += static_cast<std::uint64_t>(response.result.screens);
-        totals_.screen_proven_safe +=
-            static_cast<std::uint64_t>(response.result.screen_proven_safe);
-        totals_.screen_likely_ub +=
-            static_cast<std::uint64_t>(response.result.screen_likely_ub);
-        totals_.screen_unknown +=
-            static_cast<std::uint64_t>(response.result.screen_unknown);
     }
     emit({core::TraceEventKind::ServiceComplete, request.ub_case.id,
           static_cast<std::uint64_t>(response.service_ms * 1000.0), 0.0});

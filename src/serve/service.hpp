@@ -134,11 +134,6 @@ struct ServiceStats {
     /// they contributed back to the warm store.
     std::uint64_t feedback_requests = 0;
     std::uint64_t feedback_records_absorbed = 0;
-    /// Screen verdict mix summed over completed CaseResults.
-    std::uint64_t screens = 0;
-    std::uint64_t screen_proven_safe = 0;
-    std::uint64_t screen_likely_ub = 0;
-    std::uint64_t screen_unknown = 0;
     llm::PromptCacheStats prompt_cache;
     verify::VerifyCacheStats verify_cache;
 };

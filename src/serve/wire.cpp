@@ -116,9 +116,6 @@ std::string render_case_result(const core::CaseResult& result) {
     out << "kb_skipped " << (result.kb_skipped_by_feedback ? 1 : 0) << '\n';
     out << "thinking " << result.thinking_switches << ' ' << result.escalations
         << ' ' << result.early_stops << ' ' << result.attempts_skipped << '\n';
-    out << "screens " << result.screens << ' ' << result.screen_proven_safe
-        << ' ' << result.screen_likely_ub << ' ' << result.screen_unknown
-        << '\n';
     out << "trajectory " << result.error_trajectory.size();
     for (std::size_t errors : result.error_trajectory) out << ' ' << errors;
     out << '\n';
@@ -164,11 +161,6 @@ core::CaseResult parse_case_result(const std::string& text) {
     result.escalations = thinking[1];
     result.early_stops = thinking[2];
     result.attempts_skipped = thinking[3];
-    const std::array<int, 4> screens = read_ints<4>(reader, "screens");
-    result.screens = screens[0];
-    result.screen_proven_safe = screens[1];
-    result.screen_likely_ub = screens[2];
-    result.screen_unknown = screens[3];
     for (const std::string& word : reader.read_list("trajectory")) {
         result.error_trajectory.push_back(
             reader.parse_u64(word, "trajectory entry"));

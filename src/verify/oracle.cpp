@@ -84,7 +84,7 @@ std::shared_ptr<const CompiledProgram> VerifyCache::insert_program(
 }
 
 std::optional<miri::MiriReport> VerifyCache::lookup_report(
-    const ReportKeyView& key, ScreenVerdictRecord* verdict) {
+    const ReportKeyView& key) {
     Shard& shard = shard_for(key.hash);
     std::lock_guard<std::mutex> lock(shard.mutex);
     // peek + find: a hash collision (key mismatch) is a miss and must not
@@ -96,13 +96,11 @@ std::optional<miri::MiriReport> VerifyCache::lookup_report(
     }
     report_hits_.fetch_add(1, std::memory_order_relaxed);
     shard.reports.find(key.hash);  // promote the validated hit
-    if (verdict != nullptr) *verdict = entry->verdict;
     return entry->report;
 }
 
 void VerifyCache::insert_report(const ReportKeyView& key,
-                                const miri::MiriReport& report,
-                                const ScreenVerdictRecord* verdict) {
+                                const miri::MiriReport& report) {
     Shard& shard = shard_for(key.hash);
     std::lock_guard<std::mutex> lock(shard.mutex);
     if (shard.reports.peek(key.hash) != nullptr) {
@@ -114,7 +112,6 @@ void VerifyCache::insert_report(const ReportKeyView& key,
     entry.limits = key.limits;
     entry.input_sets = *key.input_sets;
     entry.report = report;
-    if (verdict != nullptr) entry.verdict = *verdict;
     shard.reports.insert(key.hash, std::move(entry));
 }
 
@@ -208,10 +205,7 @@ Oracle::Oracle(OracleOptions options)
       // The env is read only for knobs the options leave unset.
       caching_(options.caching ? *options.caching
                                : switch_from_env("RUSTBRAIN_VERIFY_CACHE")),
-      screening_(options.screening ? *options.screening
-                                   : switch_from_env("RUSTBRAIN_SCREEN")),
-      interp_(options.interp),
-      screen_options_(options.screen) {}
+      interp_(options.interp) {}
 
 const Oracle& Oracle::shared_default() {
     static const Oracle oracle;
@@ -304,47 +298,6 @@ miri::MiriReport Oracle::interpret(
     });
 }
 
-miri::MiriReport Oracle::screen_or_interpret(
-    const CompiledProgram& compiled,
-    const std::vector<std::vector<std::int64_t>>& input_sets,
-    VerifyOutcome* outcome, ScreenVerdictRecord* record) const {
-    if (screening_) {
-        const screen::ScreenResult screened = screen::screen_program(
-            compiled.program, compiled.lowering, input_sets, limits_,
-            screen_options_);
-        screens_.fetch_add(1, std::memory_order_relaxed);
-        screen_ops_.fetch_add(screened.verdict.ops, std::memory_order_relaxed);
-        switch (screened.verdict.kind) {
-            case screen::VerdictKind::ProvenSafe:
-                screen_proven_.fetch_add(1, std::memory_order_relaxed);
-                break;
-            case screen::VerdictKind::LikelyUB:
-                screen_likely_.fetch_add(1, std::memory_order_relaxed);
-                break;
-            case screen::VerdictKind::Unknown:
-                screen_unknown_.fetch_add(1, std::memory_order_relaxed);
-                break;
-        }
-        if (outcome != nullptr) {
-            outcome->screened = true;
-            outcome->screen_verdict = screened.verdict;
-        }
-        if (record != nullptr) {
-            record->screened = true;
-            record->verdict = screened.verdict;
-        }
-        if (screened.verdict.kind == screen::VerdictKind::ProvenSafe) {
-            // The synthesized report is exact (outputs + steps), so the
-            // interpreter run is pure redundancy — skip it.
-            screen_synthesized_.fetch_add(1, std::memory_order_relaxed);
-            if (outcome != nullptr) outcome->screen_synthesized = true;
-            return screened.report;
-        }
-        // LikelyUB / Unknown: advisory only — MiriLite stays the authority.
-    }
-    return interpret(compiled, input_sets);
-}
-
 miri::MiriReport Oracle::test_source(
     const std::string& source,
     const std::vector<std::vector<std::int64_t>>& input_sets,
@@ -353,36 +306,20 @@ miri::MiriReport Oracle::test_source(
     const std::shared_ptr<const CompiledProgram> compiled =
         compile_guarded(source, outcome, &canonical);
     if (!compiled->ok()) {
-        // Byte-identical to MiriLite's front-end failure reports. Never
-        // screened: there is no program to screen.
+        // Byte-identical to MiriLite's front-end failure reports.
         miri::MiriReport report;
         report.findings.push_back(
             miri::Finding{miri::UbCategory::CompileError, compiled->error, {}});
         return report;
     }
-    if (!caching_ || !canonical) {
-        return screen_or_interpret(*compiled, input_sets, outcome, nullptr);
-    }
+    if (!caching_ || !canonical) return interpret(*compiled, input_sets);
     const ReportKeyView key = report_key(*compiled, input_sets, limits_);
-    ScreenVerdictRecord cached_verdict;
-    if (auto cached = cache_->lookup_report(key, &cached_verdict)) {
-        if (outcome != nullptr) {
-            outcome->report_cached = true;
-            // Replay the verdict stored with the entry so policies see the
-            // same signal they would on a live screen. Never on a
-            // screening-off oracle: the cache may be shared with screen-on
-            // oracles, and "off" must stay fully inert.
-            outcome->screened = screening_ && cached_verdict.screened;
-            if (outcome->screened) {
-                outcome->screen_verdict = cached_verdict.verdict;
-            }
-        }
+    if (auto cached = cache_->lookup_report(key)) {
+        if (outcome != nullptr) outcome->report_cached = true;
         return *cached;
     }
-    ScreenVerdictRecord record;
-    const miri::MiriReport report =
-        screen_or_interpret(*compiled, input_sets, outcome, &record);
-    cache_->insert_report(key, report, &record);
+    const miri::MiriReport report = interpret(*compiled, input_sets);
+    cache_->insert_report(key, report);
     return report;
 }
 
@@ -394,28 +331,6 @@ std::string Oracle::stats_summary() const {
            std::to_string(s.report_misses) + " misses, " +
            std::to_string(s.program_evictions + s.report_evictions) +
            " evictions" + (caching_ ? "" : " (RUSTBRAIN_VERIFY_CACHE=off)");
-}
-
-ScreenStats Oracle::screen_stats() const {
-    ScreenStats s;
-    s.screens = screens_.load(std::memory_order_relaxed);
-    s.proven_safe = screen_proven_.load(std::memory_order_relaxed);
-    s.likely_ub = screen_likely_.load(std::memory_order_relaxed);
-    s.unknown = screen_unknown_.load(std::memory_order_relaxed);
-    s.synthesized = screen_synthesized_.load(std::memory_order_relaxed);
-    s.ops = screen_ops_.load(std::memory_order_relaxed);
-    return s;
-}
-
-std::string Oracle::screen_summary() const {
-    if (!screening_) return "screening off (RUSTBRAIN_SCREEN=off)";
-    const ScreenStats s = screen_stats();
-    return std::to_string(s.screens) + " screened: " +
-           std::to_string(s.proven_safe) + " proven-safe (" +
-           std::to_string(s.synthesized) + " interpretations skipped), " +
-           std::to_string(s.likely_ub) + " likely-ub, " +
-           std::to_string(s.unknown) + " unknown, " + std::to_string(s.ops) +
-           " abstract ops";
 }
 
 }  // namespace rustbrain::verify

@@ -29,17 +29,6 @@
 // caches for Oracles that don't pin the behavior explicitly — useful for
 // flushing out cache-coherence bugs (CI runs the whole suite once in this
 // mode).
-//
-// Screening tier: before interpreting, the Oracle runs the static
-// pre-screener (screen/screen.hpp). A ProvenSafe verdict carries the exact
-// MiriReport the interpreter would produce (outputs + step count,
-// synthesized by the screener's mirror semantics), so interpretation is
-// skipped entirely; LikelyUB and Unknown verdicts are advisory — MiriLite
-// still runs and stays the authority. Bit-identity is preserved either
-// way, asserted screen-on vs screen-off across every registry engine in
-// tests/screen_soundness_test.cpp and the screen-smoke CI job. Escape
-// hatch: RUSTBRAIN_SCREEN=off (or 0/false), same contract as the cache
-// knob.
 #pragma once
 
 #include <array>
@@ -56,7 +45,6 @@
 #include "miri/interp.hpp"
 #include "miri/lower.hpp"
 #include "miri/mirilite.hpp"
-#include "screen/screen.hpp"
 #include "support/lru.hpp"
 #include "vm/bytecode.hpp"
 
@@ -134,14 +122,6 @@ struct VerifyCacheStats {
     }
 };
 
-/// A screening verdict remembered alongside a memoized report, so a report
-/// cache hit still surfaces the verdict to thinking policies. `screened`
-/// is false for entries inserted by a screen-off Oracle.
-struct ScreenVerdictRecord {
-    bool screened = false;
-    screen::ScreenVerdict verdict;
-};
-
 /// Identity of a memoized report, borrowed from the caller for lookups so
 /// the hot (hit) path never copies the input vectors. The 64-bit `hash`
 /// routes and indexes; the remaining fields are the full key material,
@@ -189,13 +169,10 @@ class VerifyCache {
     std::shared_ptr<const CompiledProgram> insert_program(
         std::uint64_t key, std::shared_ptr<const CompiledProgram> compiled);
 
-    /// `verdict` (optional) receives the screening record stored with the
-    /// entry on a hit.
-    std::optional<miri::MiriReport> lookup_report(
-        const ReportKeyView& key, ScreenVerdictRecord* verdict = nullptr);
+    /// Returns the memoized report for `key`, counting a hit or a miss.
+    std::optional<miri::MiriReport> lookup_report(const ReportKeyView& key);
     /// Copies the key material (including the input vectors) into the entry.
-    void insert_report(const ReportKeyView& key, const miri::MiriReport& report,
-                       const ScreenVerdictRecord* verdict = nullptr);
+    void insert_report(const ReportKeyView& key, const miri::MiriReport& report);
 
     [[nodiscard]] VerifyCacheStats stats() const;
 
@@ -213,7 +190,6 @@ class VerifyCache {
         miri::InterpLimits limits;
         std::vector<std::vector<std::int64_t>> input_sets;
         miri::MiriReport report;
-        ScreenVerdictRecord verdict;
 
         [[nodiscard]] bool matches(const ReportKeyView& key) const {
             return fingerprint == key.fingerprint && check == key.check &&
@@ -244,25 +220,16 @@ struct OracleOptions {
     /// Explicit cache on/off; unset => honour RUSTBRAIN_VERIFY_CACHE
     /// (on|1|true or off|0|false; unset env means on).
     std::optional<bool> caching;
-    /// Explicit screening on/off; unset => honour RUSTBRAIN_SCREEN (same
-    /// convention as the cache knob).
-    std::optional<bool> screening;
-    /// Screener budget (per-candidate abstract-op cap).
-    screen::ScreenOptions screen;
     /// Which interpreter runs uncached work: Slot (the default) or the
     /// Tree reference. Reports are byte-identical across tiers.
     InterpTier interp = InterpTier::Slot;
 };
 
-/// Counters for the Oracle's screening tier (process- or oracle-lifetime,
-/// like VerifyCacheStats).
+/// Read only by perfbench/rbbench.cpp; removed by the next benchmark change.
 struct ScreenStats {
-    std::uint64_t screens = 0;      // screenings actually run
-    std::uint64_t proven_safe = 0;  // => interpretation skipped
-    std::uint64_t likely_ub = 0;    // advisory: category statically pinned
-    std::uint64_t unknown = 0;      // screener degraded; MiriLite decided
-    std::uint64_t synthesized = 0;  // reports served from the screener
-    std::uint64_t ops = 0;          // total abstract ops spent screening
+    std::uint64_t screens = 0;
+    std::uint64_t ops = 0;
+    std::uint64_t proven_safe = 0;
 };
 
 /// Per-call cache observation, for callers that surface hit/miss telemetry
@@ -270,21 +237,13 @@ struct ScreenStats {
 struct VerifyOutcome {
     bool program_cached = false;
     bool report_cached = false;
-    /// Screening verdict for this call — live from the screener, or
-    /// replayed from the report cache entry (screened == false when the
-    /// verdict never existed: screening off, or a front-end error).
-    bool screened = false;
-    screen::ScreenVerdict screen_verdict;
-    /// True when the report was synthesized from a ProvenSafe verdict and
-    /// interpretation was skipped (never true on cache-hit replays).
-    bool screen_synthesized = false;
 };
 
 class Oracle {
   public:
     /// Throws std::invalid_argument, naming the variable and listing the
-    /// accepted values, when an env knob it honours (RUSTBRAIN_VERIFY_CACHE,
-    /// RUSTBRAIN_SCREEN) holds any other value.
+    /// accepted values, when RUSTBRAIN_VERIFY_CACHE (read only when
+    /// OracleOptions::caching is unset) holds any other value.
     explicit Oracle(OracleOptions options = {});
     virtual ~Oracle() = default;
     Oracle(const Oracle&) = delete;
@@ -305,7 +264,8 @@ class Oracle {
         const std::string& source, VerifyOutcome* outcome = nullptr) const;
 
     [[nodiscard]] bool caching_enabled() const { return caching_; }
-    [[nodiscard]] bool screening_enabled() const { return screening_; }
+    /// Read only by perfbench/rbbench.cpp; removed by the next benchmark change.
+    [[nodiscard]] bool screening_enabled() const { return false; }
     [[nodiscard]] InterpTier interp_tier() const { return interp_; }
     /// Always true: long runs execute optimized bytecode. Kept because the
     /// benchmark header (perfbench/rbbench.cpp) prints it.
@@ -315,11 +275,10 @@ class Oracle {
         return cache_;
     }
     [[nodiscard]] VerifyCacheStats stats() const { return cache_->stats(); }
-    [[nodiscard]] ScreenStats screen_stats() const;
+    /// Read only by perfbench/rbbench.cpp; removed by the next benchmark change.
+    [[nodiscard]] ScreenStats screen_stats() const { return {}; }
     /// One-line human-readable stats (the summary examples print).
     [[nodiscard]] std::string stats_summary() const;
-    /// One-line screening stats, same audience as stats_summary().
-    [[nodiscard]] std::string screen_summary() const;
 
     /// The process-wide Oracle (default limits, process-wide cache) used by
     /// every call site that isn't wired to an explicit one.
@@ -344,26 +303,11 @@ class Oracle {
     [[nodiscard]] std::shared_ptr<const CompiledProgram> compile_guarded(
         const std::string& source, VerifyOutcome* outcome,
         bool* canonical) const;
-    /// The screening tier: run the pre-screener (when enabled), serve a
-    /// ProvenSafe synthesis directly, fall through to interpret() otherwise.
-    /// `record` (optional) receives the verdict for report-cache storage.
-    [[nodiscard]] miri::MiriReport screen_or_interpret(
-        const CompiledProgram& compiled,
-        const std::vector<std::vector<std::int64_t>>& input_sets,
-        VerifyOutcome* outcome, ScreenVerdictRecord* record) const;
 
     miri::InterpLimits limits_;
     std::shared_ptr<VerifyCache> cache_;
     bool caching_ = true;
-    bool screening_ = true;
     InterpTier interp_ = InterpTier::Slot;
-    screen::ScreenOptions screen_options_;
-    mutable std::atomic<std::uint64_t> screens_{0};
-    mutable std::atomic<std::uint64_t> screen_proven_{0};
-    mutable std::atomic<std::uint64_t> screen_likely_{0};
-    mutable std::atomic<std::uint64_t> screen_unknown_{0};
-    mutable std::atomic<std::uint64_t> screen_synthesized_{0};
-    mutable std::atomic<std::uint64_t> screen_ops_{0};
 };
 
 /// `oracle`, or the process-wide default when null — the fallback every

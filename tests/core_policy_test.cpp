@@ -141,25 +141,32 @@ TEST(PaperPolicyGoldenTest, DefaultPolicyIsPaper) {
 
 // --- registry mechanics -----------------------------------------------------
 
-TEST(PolicyRegistryTest, BuiltinListsTheSixStrategies) {
+TEST(PolicyRegistryTest, BuiltinListsTheFiveStrategies) {
     const PolicyRegistry& registry = PolicyRegistry::builtin();
-    for (const char* id : {"paper", "feedback-guided", "screened", "budget",
-                           "fast-only", "slow-all"}) {
+    for (const char* id :
+         {"paper", "feedback-guided", "budget", "fast-only", "slow-all"}) {
         EXPECT_TRUE(registry.contains(id)) << id;
         EXPECT_NE(registry.help().find(id), std::string::npos);
     }
-    EXPECT_EQ(registry.ids().size(), 6u);
+    EXPECT_EQ(registry.ids().size(), 5u);
 }
 
 TEST(PolicyRegistryTest, UnknownIdThrowsListingAvailable) {
-    try {
-        (void)PolicyRegistry::builtin().build("papr");
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument& error) {
-        const std::string message = error.what();
-        EXPECT_NE(message.find("papr"), std::string::npos);
-        EXPECT_NE(message.find("paper"), std::string::npos);
-        EXPECT_NE(message.find("feedback-guided"), std::string::npos);
+    // A typo, and the retired `screened` policy.
+    for (const std::string id : {"papr", "screened"}) {
+        SCOPED_TRACE(id);
+        try {
+            (void)PolicyRegistry::builtin().build(id);
+            ADD_FAILURE() << "expected std::invalid_argument";
+        } catch (const std::invalid_argument& error) {
+            const std::string message = error.what();
+            EXPECT_NE(message.find("'" + id + "'"), std::string::npos);
+            const std::string available =
+                message.substr(message.find("available:"));
+            EXPECT_NE(available.find("paper"), std::string::npos);
+            EXPECT_NE(available.find("feedback-guided"), std::string::npos);
+            EXPECT_EQ(available.find(id), std::string::npos) << message;
+        }
     }
 }
 
@@ -186,68 +193,6 @@ TEST(PolicyRegistryTest, SpecParserAcceptsBothSeparators) {
     EXPECT_EQ(parse_policy_spec("feedback-guided")->descriptor(),
               "feedback-guided(threshold=4.0)");
     EXPECT_THROW((void)parse_policy_spec("budget,ms"), std::invalid_argument);
-}
-
-TEST(PolicyRegistryTest, ScreenedPolicyKnobsRoundTrip) {
-    // Default threshold, both separators, and an explicit knob all round-
-    // trip through the spec parser into the descriptor.
-    EXPECT_EQ(parse_policy_spec("screened")->id(), "screened");
-    EXPECT_EQ(parse_policy_spec("screened")->descriptor(),
-              "screened(threshold=0.75)");
-    const auto comma = parse_policy_spec("screened,threshold=0.9");
-    const auto semicolon = parse_policy_spec("screened;threshold=0.9");
-    EXPECT_EQ(comma->descriptor(), "screened(threshold=0.90)");
-    EXPECT_EQ(semicolon->descriptor(), comma->descriptor());
-    EXPECT_THROW((void)parse_policy_spec("screened,thresh=0.9"),
-                 std::invalid_argument);
-    // The CLI helper quotes the knobs for travel inside an engine spec.
-    EngineOptions options;
-    set_policy_option(options, "screened,threshold=0.9");
-    EXPECT_EQ(options.get("policy", ""), "screened;threshold=0.9");
-}
-
-TEST(PolicyRegistryTest, ScreenedPolicyActsOnTheVerdict) {
-    const auto policy = parse_policy_spec("screened,threshold=0.8");
-    PolicySignals signals;
-    signals.solution_count = 3;
-
-    // No verdict (screening off, or nothing screened yet): paper behavior.
-    EXPECT_EQ(policy->choose_mode(signals), ThinkingMode::Escalate);
-
-    // A confident ProvenSafe verdict trusts the fast path...
-    signals.screened = true;
-    signals.screen_verdict = screen::VerdictKind::ProvenSafe;
-    signals.screen_confidence = 1.0;
-    EXPECT_EQ(policy->choose_mode(signals), ThinkingMode::FastOnly);
-    // ...and any fast-only failure still escalates.
-    EXPECT_TRUE(policy->escalate_on_failure(signals));
-
-    // Unknown verdicts never shortcut, whatever their confidence.
-    signals.screen_verdict = screen::VerdictKind::Unknown;
-    signals.screen_confidence = 1.0;
-    EXPECT_EQ(policy->choose_mode(signals), ThinkingMode::Escalate);
-
-    // Below-threshold confidence escalates too.
-    signals.screen_verdict = screen::VerdictKind::LikelyUB;
-    signals.screen_confidence = 0.5;
-    EXPECT_EQ(policy->choose_mode(signals), ThinkingMode::Escalate);
-
-    // A LikelyUB verdict reorders the plan: solutions whose rules repair
-    // the pinned category come first, original order otherwise (stable).
-    signals.screen_confidence = 0.95;
-    signals.screen_category = miri::UbCategory::Uninit;
-    signals.solution_categories = {
-        {miri::UbCategory::Panic},
-        {miri::UbCategory::Uninit},
-        {miri::UbCategory::Panic, miri::UbCategory::Uninit},
-    };
-    EXPECT_EQ(policy->plan_attempts(signals),
-              (std::vector<std::size_t>{1, 2, 0}));
-
-    // ProvenSafe pins nothing: the ranking order stands.
-    signals.screen_verdict = screen::VerdictKind::ProvenSafe;
-    EXPECT_EQ(policy->plan_attempts(signals),
-              (std::vector<std::size_t>{0, 1, 2}));
 }
 
 TEST(PolicyRegistryTest, EngineRegistryRejectsUnknownPolicy) {

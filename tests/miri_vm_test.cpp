@@ -43,10 +43,9 @@ void expect_reports_equal(const MiriReport& want, const MiriReport& got,
     EXPECT_EQ(want.total_steps, got.total_steps) << label;
 }
 
-/// Run `source` through the tree-walk MiriLite and through uncached,
-/// unscreened Oracles — the slot tier and the VmOracle double on plain and
-/// optimized bytecode (screening off so the path under test actually
-/// executes) — and require byte-equal reports.
+/// Run `source` through the tree-walk MiriLite and through uncached Oracles
+/// — the slot tier and the VmOracle double on plain and optimized
+/// bytecode — and require byte-equal reports.
 void expect_tiers_agree(const std::string& source, const Inputs& inputs,
                         InterpLimits limits = {}) {
     const MiriLite tree_walk(limits);
@@ -57,7 +56,6 @@ void expect_tiers_agree(const std::string& source, const Inputs& inputs,
     verify::OracleOptions options;
     options.limits = limits;
     options.caching = false;
-    options.screening = false;
     const verify::Oracle slot(options);
     const verify::VmOracle vm(options, /*optimized=*/false);
     const verify::VmOracle vm_opt(options, /*optimized=*/true);
@@ -381,7 +379,6 @@ fn main() {
     verify::OracleOptions options;
     options.limits = two;
     options.caching = false;
-    options.screening = false;
     const verify::VmOracle oracle(options, /*optimized=*/true);
     const MiriReport report = oracle.test_source(source, {});
     EXPECT_TRUE(report.passed()) << report.summary();

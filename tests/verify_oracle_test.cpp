@@ -170,9 +170,6 @@ TEST(VerifyOracleTest, JudgeInterpretsTheReferenceFixOncePerCase) {
     OracleOptions options;
     options.cache = std::make_shared<VerifyCache>();
     options.caching = true;
-    // Screening off: this test counts interpret() calls, and the screener
-    // would (correctly) skip them for these trivially-safe candidates.
-    options.screening = false;
     const CountingOracle oracle(std::move(options));
 
     const std::vector<std::string> candidates = {
@@ -210,7 +207,6 @@ TEST(VerifyOracleTest, WithoutCachingTheReferenceFixRunsPerCandidate) {
 
     OracleOptions options;
     options.caching = false;
-    options.screening = false;  // same reason as the cached counting test
     const CountingOracle oracle(std::move(options));
 
     const std::vector<std::string> candidates = {
@@ -365,8 +361,8 @@ TEST(OracleEnvTest, TypoedKnobsThrowAtConstructionListingAcceptedValues) {
         const char* accepted;
     } knobs[] = {
         {"RUSTBRAIN_VERIFY_CACHE", "of", "on, off, 1, 0, true, false"},
-        {"RUSTBRAIN_SCREEN", "yes", "on, off, 1, 0, true, false"},
-        {"RUSTBRAIN_SCREEN", "", "on, off, 1, 0, true, false"},
+        {"RUSTBRAIN_VERIFY_CACHE", "yes", "on, off, 1, 0, true, false"},
+        {"RUSTBRAIN_VERIFY_CACHE", "", "on, off, 1, 0, true, false"},
     };
     for (const auto& knob : knobs) {
         const ScopedEnv env(knob.name, knob.typo);
@@ -386,14 +382,13 @@ TEST(OracleEnvTest, TypoedKnobsThrowAtConstructionListingAcceptedValues) {
 }
 
 TEST(OracleEnvTest, PinnedOptionsNeverReadTheEnv) {
-    const ScopedEnv cache("RUSTBRAIN_VERIFY_CACHE", "of");
-    const ScopedEnv screen("RUSTBRAIN_SCREEN", "of");
-    OracleOptions options;
-    options.caching = false;
-    options.screening = false;
-    const Oracle oracle(options);
-    EXPECT_FALSE(oracle.caching_enabled());
-    EXPECT_FALSE(oracle.screening_enabled());
+    for (const char* typo : {"of", "yes", ""}) {
+        const ScopedEnv cache("RUSTBRAIN_VERIFY_CACHE", typo);
+        OracleOptions options;
+        options.caching = false;
+        const Oracle oracle(options);
+        EXPECT_FALSE(oracle.caching_enabled()) << typo;
+    }
 }
 
 TEST(OracleEnvTest, EveryAcceptedSpellingResolvesAsBefore) {
@@ -406,14 +401,8 @@ TEST(OracleEnvTest, EveryAcceptedSpellingResolvesAsBefore) {
     for (const auto& spelling : spellings) {
         const std::string label =
             spelling.value == nullptr ? "(unset)" : spelling.value;
-        {
-            const ScopedEnv env("RUSTBRAIN_VERIFY_CACHE", spelling.value);
-            EXPECT_EQ(Oracle().caching_enabled(), spelling.on) << label;
-        }
-        {
-            const ScopedEnv env("RUSTBRAIN_SCREEN", spelling.value);
-            EXPECT_EQ(Oracle().screening_enabled(), spelling.on) << label;
-        }
+        const ScopedEnv env("RUSTBRAIN_VERIFY_CACHE", spelling.value);
+        EXPECT_EQ(Oracle().caching_enabled(), spelling.on) << label;
     }
 }
 

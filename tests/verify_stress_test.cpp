@@ -45,11 +45,9 @@ TEST(VerifyStressTest, ConcurrentOracleMatchesSerialAndStatsAddUp) {
         cases.push_back(&corpus.cases()[i]);
     }
 
-    // Serial reference: recompute everything, screening off so the
-    // accounting below is purely cache lookups.
+    // Serial reference: recompute everything.
     OracleOptions serial_options;
     serial_options.caching = false;
-    serial_options.screening = false;
     const Oracle serial(std::move(serial_options));
     std::vector<miri::MiriReport> expected;
     expected.reserve(kCases);
@@ -61,7 +59,6 @@ TEST(VerifyStressTest, ConcurrentOracleMatchesSerialAndStatsAddUp) {
     OracleOptions shared_options;
     shared_options.cache = std::make_shared<VerifyCache>();
     shared_options.caching = true;
-    shared_options.screening = false;
     const Oracle shared(std::move(shared_options));
 
     constexpr std::size_t kThreads = 8;

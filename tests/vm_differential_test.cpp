@@ -81,10 +81,8 @@ const char* path_name(Path path) {
     return "?";
 }
 
-/// An oracle on `path` with screening off, so the path actually interprets
-/// every uncached verification.
+/// An oracle on `path`; it interprets every uncached verification.
 std::shared_ptr<Oracle> path_oracle(Path path, OracleOptions options) {
-    options.screening = false;
     if (path == Path::Tree) options.interp = InterpTier::Tree;
     if (path == Path::VmOpt || path == Path::VmPlain) {
         return std::make_shared<VmOracle>(std::move(options),

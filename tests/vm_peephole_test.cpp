@@ -93,7 +93,6 @@ void expect_opt_exact(const std::string& source, const Inputs& inputs = {},
         verify::OracleOptions options;
         options.limits = limits;
         options.caching = false;
-        options.screening = false;
         const verify::VmOracle oracle(options, opt);
         expect_reports_equal(reference, oracle.test_source(source, inputs),
                              std::string(opt ? "vm-opt" : "vm") + "\n" +
@@ -233,7 +232,6 @@ TEST(VmPeepholeTest, TreeTierNeverCompilesBytecode) {
         vm::CompileStats::optimize_passes.load();
     verify::OracleOptions options;
     options.caching = false;
-    options.screening = false;
     options.interp = verify::InterpTier::Tree;
     const verify::Oracle oracle(options);
     for (int i = 0; i < 3; ++i) {
@@ -255,14 +253,13 @@ TEST(VmPeepholeTest, TreeTierNeverCompilesBytecode) {
 
 // --- tier-up: the slot walk restarts runs past its budget on the vm ------
 
-/// Uncached, unscreened slot-tier (default) oracle: every test_source call
+/// Uncached slot-tier (default) oracle: every test_source call
 /// compiles fresh and really interprets, so the bytecode builds it causes
 /// show up in vm::CompileStats.
 std::unique_ptr<verify::Oracle> slot_oracle(miri::InterpLimits limits = {}) {
     verify::OracleOptions options;
     options.limits = limits;
     options.caching = false;
-    options.screening = false;
     return std::make_unique<verify::Oracle>(options);
 }
 
@@ -446,7 +443,6 @@ TEST(VmPeepholeTest, FiveForgedCorporaRenderByteIdenticalOptOnVsOff) {
             verify::OracleOptions oracle_options;
             oracle_options.cache = std::make_shared<verify::VerifyCache>();
             oracle_options.caching = true;
-            oracle_options.screening = false;
             core::EngineBuildContext context;
             context.knowledge_base = &kbase;
             context.oracle = std::make_shared<verify::VmOracle>(
